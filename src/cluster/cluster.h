@@ -117,8 +117,8 @@ struct RunRequest {
 
   /// Engine self-telemetry sink (non-owning; must outlive the run).
   /// When set it is attached via EngineConfig::telemetry and filled with
-  /// the engine's own counters and wall-clock timings (sim/telemetry.h);
-  /// render with obs/engine_telemetry.h or feed prof::explain_scaling.
+  /// the engine's own work counters (sim/telemetry.h); render with
+  /// obs/engine_telemetry.h.
   /// Never changes the committed event stream or the metered result.
   sim::EngineTelemetry* engine_telemetry = nullptr;
 };

@@ -2,20 +2,44 @@
 
 #include <sstream>
 
-#include "common/error.h"
-
 namespace soc {
+
+namespace {
+
+/// Parses all of `text` with `convert` (std::stoi / std::stod); trailing
+/// characters or an out-of-range value throw UsageError(`what`).
+template <typename Convert>
+auto parse_whole(const std::string& text, Convert convert,
+                 const std::string& what) {
+  std::size_t used = 0;
+  try {
+    const auto value = convert(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw UsageError(what);
+}
+
+int to_int(const std::string& s, std::size_t* used) {
+  return std::stoi(s, used);
+}
+
+double to_double(const std::string& s, std::size_t* used) {
+  return std::stod(s, used);
+}
+
+}  // namespace
 
 void ArgParser::add_flag(const std::string& name, const std::string& help,
                          const std::string& default_value) {
   SOC_CHECK(!flags_.count(name), "duplicate flag: " + name);
-  flags_[name] = Flag{help, default_value, false, false};
+  flags_[name] = Flag{help, default_value, default_value, false, false};
   order_.push_back(name);
 }
 
 void ArgParser::add_bool(const std::string& name, const std::string& help) {
   SOC_CHECK(!flags_.count(name), "duplicate flag: " + name);
-  flags_[name] = Flag{help, "false", true, false};
+  flags_[name] = Flag{help, "false", "false", true, false};
   order_.push_back(name);
 }
 
@@ -34,18 +58,19 @@ void ArgParser::parse(int argc, const char* const* argv, int start) {
       inline_value = arg.substr(eq + 1);
     }
     auto it = flags_.find(name);
-    SOC_CHECK(it != flags_.end(), "unknown flag: " + name);
+    if (it == flags_.end()) throw UsageError("unknown flag: " + name);
     Flag& flag = it->second;
     flag.given = true;
     if (flag.is_bool) {
-      SOC_CHECK(!inline_value.has_value() || *inline_value == "true" ||
-                    *inline_value == "false",
-                "boolean flag " + name + " takes no value");
+      if (inline_value.has_value() && *inline_value != "true" &&
+          *inline_value != "false") {
+        throw UsageError("boolean flag " + name + " takes no value");
+      }
       flag.value = inline_value.value_or("true");
     } else if (inline_value.has_value()) {
       flag.value = *inline_value;
     } else {
-      SOC_CHECK(i + 1 < argc, "flag " + name + " needs a value");
+      if (i + 1 >= argc) throw UsageError("flag " + name + " needs a value");
       flag.value = argv[++i];
     }
   }
@@ -59,20 +84,14 @@ const std::string& ArgParser::get(const std::string& name) const {
 
 int ArgParser::get_int(const std::string& name) const {
   const std::string& v = get(name);
-  try {
-    return std::stoi(v);
-  } catch (const std::exception&) {
-    throw Error("flag " + name + " expects an integer, got '" + v + "'");
-  }
+  return parse_whole(v, to_int,
+                     "flag " + name + " expects an integer, got '" + v + "'");
 }
 
 double ArgParser::get_double(const std::string& name) const {
   const std::string& v = get(name);
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw Error("flag " + name + " expects a number, got '" + v + "'");
-  }
+  return parse_whole(v, to_double,
+                     "flag " + name + " expects a number, got '" + v + "'");
 }
 
 bool ArgParser::get_bool(const std::string& name) const {
@@ -92,8 +111,8 @@ std::string ArgParser::usage() const {
     os << "  " << name;
     if (!flag.is_bool) os << " <value>";
     os << "\n      " << flag.help;
-    if (!flag.is_bool && !flag.value.empty()) {
-      os << " (default: " << flag.value << ")";
+    if (!flag.is_bool && !flag.default_value.empty()) {
+      os << " (default: " << flag.default_value << ")";
     }
     os << "\n";
   }
@@ -105,13 +124,10 @@ std::vector<int> parse_int_list(const std::string& csv) {
   std::istringstream is(csv);
   std::string item;
   while (std::getline(is, item, ',')) {
-    try {
-      out.push_back(std::stoi(item));
-    } catch (const std::exception&) {
-      throw Error("bad integer in list: '" + item + "'");
-    }
+    out.push_back(
+        parse_whole(item, to_int, "bad integer in list: '" + item + "'"));
   }
-  SOC_CHECK(!out.empty(), "empty integer list");
+  if (out.empty()) throw UsageError("empty integer list");
   return out;
 }
 
@@ -132,13 +148,10 @@ std::vector<double> parse_double_list(const std::string& csv) {
   std::istringstream is(csv);
   std::string item;
   while (std::getline(is, item, ',')) {
-    try {
-      out.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw Error("bad number in list: '" + item + "'");
-    }
+    out.push_back(
+        parse_whole(item, to_double, "bad number in list: '" + item + "'"));
   }
-  SOC_CHECK(!out.empty(), "empty number list");
+  if (out.empty()) throw UsageError("empty number list");
   return out;
 }
 

@@ -2,51 +2,32 @@
 
 #include <cstdint>
 
-#include "obs/chrome_trace.h"
 #include "obs/json.h"
 
 namespace soc::obs {
 
 namespace {
 
-/// Shard-count-invariant aggregates of the per-shard counters.
-struct CounterTotals {
-  std::uint64_t events_processed = 0;
-  std::uint64_t wakes = 0;
-  std::uint64_t ops_fetched = 0;
-  std::uint64_t protos_arrival = 0;
-  std::uint64_t protos_rts = 0;
-  std::uint64_t protos_cts = 0;
-};
-
-CounterTotals totals(const sim::EngineTelemetry& t) {
-  CounterTotals sum;
-  for (const sim::ShardCounters& s : t.shard) {
-    sum.events_processed += s.events_processed;
-    sum.wakes += s.wakes;
-    sum.ops_fetched += s.ops_fetched;
-    sum.protos_arrival += s.protos_arrival;
-    sum.protos_rts += s.protos_rts;
-    sum.protos_cts += s.protos_cts;
-  }
-  return sum;
+/// The queue counters of a run (all zero when nothing was recorded).
+sim::ShardCounters queue_counters(const sim::EngineTelemetry& t) {
+  return t.shard.empty() ? sim::ShardCounters{} : t.shard.front();
 }
 
 /// The members of the deterministic counter section, shared verbatim by
 /// the standalone counters document and the full artifact (so the CI
 /// byte-compare and the full artifact can never drift apart).
 void counters_body(JsonWriter& w, const sim::EngineTelemetry& t) {
-  const CounterTotals sum = totals(t);
+  const sim::ShardCounters c = queue_counters(t);
   w.field("events_committed", t.events_committed);
-  w.field("events_processed", sum.events_processed);
-  w.field("ops_fetched", sum.ops_fetched);
-  w.field("wakes", sum.wakes);
+  w.field("events_processed", c.events_processed);
+  w.field("ops_fetched", c.ops_fetched);
+  w.field("wakes", c.wakes);
   w.field("commit_records", t.commit_records);
   w.key("protocol");
   w.begin_object();
-  w.field("arrival", sum.protos_arrival);
-  w.field("rts", sum.protos_rts);
-  w.field("cts", sum.protos_cts);
+  w.field("arrival", c.protos_arrival);
+  w.field("rts", c.protos_rts);
+  w.field("cts", c.protos_cts);
   w.end_object();
 }
 
@@ -68,118 +49,15 @@ std::string engine_telemetry_json(const sim::EngineTelemetry& t) {
   JsonWriter w;
   w.begin_object();
   w.field("schema", "soccluster-engine-telemetry/v1");
-
-  // Section 1: shard/thread/build-invariant counters.
   w.newline();
   w.key("counters");
   w.begin_object();
   w.field("deterministic", true);
   counters_body(w, t);
   w.end_object();
-
-  // Section 2: deterministic at a fixed shard count only.
   w.newline();
-  w.key("sharding");
-  w.begin_object();
-  w.field("deterministic_at_fixed_shards", true);
-  w.field("shards", t.shards);
-  w.field("windowed", t.windowed);
-  w.field("lookahead_ns", t.lookahead);
-  w.field("windows", t.windows);
-  w.key("per_shard");
-  w.begin_array();
-  for (std::size_t s = 0; s < t.shard.size(); ++s) {
-    const sim::ShardCounters& c = t.shard[s];
-    w.newline();
-    w.begin_object();
-    w.field("shard", static_cast<std::int64_t>(s));
-    w.field("events_processed", c.events_processed);
-    w.field("wakes", c.wakes);
-    w.field("ops_fetched", c.ops_fetched);
-    w.field("protos_arrival", c.protos_arrival);
-    w.field("protos_rts", c.protos_rts);
-    w.field("protos_cts", c.protos_cts);
-    w.field("cross_shard_sent", c.cross_shard_sent);
-    w.field("queue_high_water", c.queue_high_water);
-    w.field("windows_stepped", c.windows_stepped);
-    w.field("empty_windows", c.empty_windows);
-    w.key("mailbox_sent");
-    w.begin_array();
-    for (const std::uint64_t n : c.mailbox_sent) w.value(n);
-    w.end_array();
-    w.end_object();
-  }
+  w.field("queue_high_water", queue_counters(t).queue_high_water);
   w.newline();
-  w.end_array();
-  w.end_object();
-
-  // Section 3: wall clock — honest about being machine- and run-variant.
-  w.newline();
-  w.key("timing");
-  w.begin_object();
-  w.field("deterministic", false);
-  w.field("workers", t.workers);
-  w.field("wall_total_ns", t.wall_total_ns);
-  w.field("step_wall_ns", t.step_wall_ns);
-  w.field("busy_max_ns", t.busy_max_ns);
-  w.field("busy_sum_ns", t.busy_sum_ns);
-  w.field("drain_wall_ns", t.drain_wall_ns);
-  w.field("merge_wall_ns", t.merge_wall_ns);
-  w.key("worker_busy_ns");
-  w.begin_array();
-  for (const std::uint64_t n : t.worker_busy_ns) w.value(n);
-  w.end_array();
-  w.key("worker_barrier_ns");
-  w.begin_array();
-  for (const std::uint64_t n : t.worker_barrier_ns) w.value(n);
-  w.end_array();
-  w.field("spans", static_cast<std::uint64_t>(t.spans.size()));
-  w.field("spans_dropped", t.spans_dropped);
-  w.end_object();
-
-  w.newline();
-  w.end_object();
-  std::string out = w.str();
-  out += '\n';
-  return out;
-}
-
-std::string engine_wallclock_trace_json(const sim::EngineTelemetry& t) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-  w.newline();
-  // One process ("engine"), one thread row per execution lane: the
-  // coordinator plus every pool worker that recorded spans.
-  trace_meta_event(w, "process_name", 0, -1, "soccluster engine");
-  trace_meta_event(w, "thread_name", 0, 0, "coordinator");
-  const int workers = static_cast<int>(t.worker_barrier_ns.size());
-  for (int lane = 1; lane <= workers; ++lane) {
-    trace_meta_event(w, "thread_name", 0, lane,
-                     "worker " + std::to_string(lane - 1));
-  }
-  for (const sim::EngineSpan& s : t.spans) {
-    w.begin_object();
-    w.field("name", sim::engine_span_kind_name(s.kind));
-    w.field("cat", "engine");
-    w.field("ph", "X");
-    w.field("pid", 0);
-    w.field("tid", s.lane);
-    w.key("ts");
-    w.value_raw(trace_micros(static_cast<std::int64_t>(s.begin_ns)));
-    w.key("dur");
-    w.value_raw(
-        trace_micros(static_cast<std::int64_t>(s.end_ns - s.begin_ns)));
-    w.key("args");
-    w.begin_object();
-    w.field("window", s.window);
-    w.end_object();
-    w.end_object();
-    w.newline();
-  }
-  w.end_array();
-  w.field("displayTimeUnit", "ms");
   w.end_object();
   std::string out = w.str();
   out += '\n';

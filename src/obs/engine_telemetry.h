@@ -1,26 +1,15 @@
 // Artifact rendering for the engine's self-telemetry (sim/telemetry.h).
 //
-// Three documents come out of one attached EngineTelemetry:
+// Two documents come out of one attached EngineTelemetry, and every
+// number in both is fixed by the simulation's control flow:
 //
-//  - engine_counters_json: the deterministic counter section alone,
-//    `soccluster-engine-telemetry-counters/v1`.  Every number in it is
-//    fixed by the simulation's control flow, so the document is
-//    byte-identical at any shard count, any thread count, and any build
-//    flavor — CI `cmp`s it across all three axes like the other
-//    artifacts.
+//  - engine_counters_json: the counter section alone,
+//    `soccluster-engine-telemetry-counters/v1`.  CI `cmp`s it across
+//    repeated runs and build flavors like the other artifacts.
 //
 //  - engine_telemetry_json: the full `soccluster-engine-telemetry/v1`
-//    artifact.  Three sections with three determinism contracts: the
-//    counter section above; a `sharding` section (per-shard queue
-//    high-water, windows stepped, mailbox-pair traffic) deterministic
-//    only at a fixed shard count; and a `timing` section of wall-clock
-//    measurements, explicitly marked nondeterministic.
-//
-//  - engine_wallclock_trace_json: a Chrome trace of the engine's *real*
-//    execution — one lane for the coordinator thread and one per pool
-//    worker, with window-step, barrier-wait, mailbox-drain, and
-//    commit-merge spans.  This is wall-clock time, not simulated time:
-//    it shows where the parallel engine itself spends the run.
+//    artifact: the counter section above plus the event queue's
+//    high-water mark.
 #pragma once
 
 #include <string>
@@ -32,11 +21,7 @@ namespace soc::obs {
 /// The deterministic counter document (ends with a newline).
 std::string engine_counters_json(const sim::EngineTelemetry& telemetry);
 
-/// The full three-section telemetry document (ends with a newline).
+/// The full telemetry document (ends with a newline).
 std::string engine_telemetry_json(const sim::EngineTelemetry& telemetry);
-
-/// Chrome trace-event document of the engine's wall-clock execution
-/// (ends with a newline).  Loadable in Perfetto / chrome://tracing.
-std::string engine_wallclock_trace_json(const sim::EngineTelemetry& telemetry);
 
 }  // namespace soc::obs

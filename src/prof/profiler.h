@@ -13,8 +13,7 @@
 // annotation is exact, not heuristic: downstream passes assert that
 // reconstructed completion times tile the run with zero residual.
 // Everything here is derived from the deterministic committed event
-// stream — identical at any engine shard count — so equal configurations
-// produce byte-identical traces.
+// stream, so equal configurations produce byte-identical traces.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,10 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-// Wall-clock telemetry is the one legitimately nondeterministic output
-// here; it never feeds back into simulated state (sim/telemetry.h).
-#include <chrono>  // soclint: allow(banned-nondeterminism)
 #include <cmath>
 #include <sstream>
-#include <thread>
 
 #include "common/error.h"
-#include "common/parallel.h"
 
 namespace soc::sim {
 
@@ -23,74 +18,6 @@ const char* lane_name(Lane lane) {
     case Lane::kCount: break;
   }
   return "?";
-}
-
-const char* engine_span_kind_name(EngineSpan::Kind kind) {
-  switch (kind) {
-    case EngineSpan::kStep: return "step";
-    case EngineSpan::kBarrier: return "barrier";
-    case EngineSpan::kDrain: return "drain";
-    case EngineSpan::kMerge: return "merge";
-  }
-  return "?";
-}
-
-std::uint64_t Engine::tel_now_ns() const {
-  using Clock = std::chrono::steady_clock;  // soclint: allow(banned-nondeterminism)
-  const auto since_epoch = Clock::now().time_since_epoch();
-  return static_cast<std::uint64_t>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(since_epoch)
-                 .count()) -
-         tel_t0_ns_;
-}
-
-void Engine::tel_span(std::vector<EngineSpan>& out, std::uint64_t* dropped,
-                      EngineSpan::Kind kind, int lane, std::uint64_t window,
-                      std::uint64_t begin_ns, std::uint64_t end_ns) const {
-  if (out.size() >= tel_->max_spans_per_lane) {
-    ++*dropped;
-    return;
-  }
-  EngineSpan s;
-  s.kind = kind;
-  s.lane = lane;
-  s.window = window;
-  s.begin_ns = begin_ns;
-  s.end_ns = end_ns;
-  out.push_back(s);
-}
-
-void Engine::tel_finalize() {
-  tel_->shards = nshards_;
-  tel_->workers = nshards_ > 1 ? nthreads_ : 1;
-  tel_->windowed = nshards_ > 1;
-  tel_->lookahead = lookahead_;
-  tel_->events_committed = stats_.events_committed;
-  tel_->shard.assign(shards_.size(), ShardCounters{});
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    tel_->shard[s] = shards_[s].counters;
-    if (tel_->shard[s].mailbox_sent.empty()) {
-      tel_->shard[s].mailbox_sent.assign(shards_.size(), 0);
-    }
-  }
-  // The inline windowed path is its own single worker: the coordinator's
-  // step time is that worker's busy time.
-  if (tel_->windowed && tel_->worker_busy_ns.empty()) {
-    tel_->worker_busy_ns.assign(1, tel_->busy_max_ns);
-  }
-  tel_->worker_barrier_ns = tel_worker_barrier_;
-  tel_->spans = tel_coord_spans_;
-  for (std::size_t w = 0; w < tel_worker_spans_.size(); ++w) {
-    tel_->spans.insert(tel_->spans.end(), tel_worker_spans_[w].begin(),
-                       tel_worker_spans_[w].end());
-    tel_->spans_dropped += tel_worker_drops_[w];
-  }
-  tel_window_busy_.clear();
-  tel_worker_spans_.clear();
-  tel_worker_barrier_.clear();
-  tel_worker_drops_.clear();
-  tel_coord_spans_.clear();
-  tel_->wall_total_ns = tel_now_ns();
 }
 
 // Default observer callbacks are no-ops so implementations override only
@@ -127,8 +54,10 @@ Engine::Engine(Placement placement, const CostModel& cost_model,
                 static_cast<int>(scenario_.compute_scale.size()) ==
                     placement_.ranks,
             "compute_scale size mismatch");
-  SOC_CHECK(config_.shards >= 1, "shards must be >= 1");
-  SOC_CHECK(config_.threads >= 0, "threads must be >= 0");
+  SOC_CHECK(config_.shards == 1,
+            "EngineConfig::shards must be 1: the engine runs one serial "
+            "event loop (run independent configurations in parallel with "
+            "sweep::SweepRunner)");
 }
 
 Engine::MsgKey Engine::msg_key(int src, int dst, int tag) {
@@ -147,8 +76,7 @@ std::uint64_t Engine::wake_key(int rank) {
 
 std::uint64_t Engine::next_proto_key(int emitter_rank, int dst_rank) {
   // Class bit clear; (emitter, per-emitter seq) makes the key unique among
-  // all coexisting events, and the emitter's shard owns the counter so
-  // assignment order is shard-deterministic.
+  // all coexisting events.
   const std::uint32_t seq =
       proto_seq_[static_cast<std::size_t>(emitter_rank)]++;
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_rank))
@@ -158,27 +86,10 @@ std::uint64_t Engine::next_proto_key(int emitter_rank, int dst_rank) {
          seq;
 }
 
-Engine::Shard& Engine::shard_of(int rank) {
-  return shards_[static_cast<std::size_t>(
-      shard_of_rank_[static_cast<std::size_t>(rank)])];
-}
-
 bool Engine::use_protocol(int src_rank, int dst_rank) const {
   return protocol_ &&
          placement_.node_of[static_cast<std::size_t>(src_rank)] !=
              placement_.node_of[static_cast<std::size_t>(dst_rank)];
-}
-
-SimTime Engine::min_cross_node_latency() const {
-  SimTime best = -1;
-  for (int a = 0; a < placement_.nodes; ++a) {
-    for (int b = 0; b < placement_.nodes; ++b) {
-      if (a == b) continue;
-      const SimTime l = cost_.message_latency(a, b);
-      if (best < 0 || l < best) best = l;
-    }
-  }
-  return best < 0 ? 0 : best;
 }
 
 double Engine::compute_scale_for(int rank) const {
@@ -251,56 +162,15 @@ RunStats Engine::run(OpSource& source) {
   // Self-telemetry attaches for exactly one run; with no sink every
   // instrumentation site below is a single `tel_ != nullptr` test.
   tel_ = config_.telemetry;
-  if (tel_ != nullptr) {
-    tel_->reset();
-    tel_t0_ns_ = 0;
-    tel_t0_ns_ = tel_now_ns();
-    tel_coord_spans_.clear();
-    tel_worker_spans_.clear();
-    tel_worker_barrier_.clear();
-    tel_worker_drops_.clear();
-  }
+  if (tel_ != nullptr) tel_->reset();
+  counters_ = ShardCounters{};
 
-  // -- Partitioning.  Cross-node pairs communicate through timestamped
-  //    protocol messages whenever the network is real; the conservative
-  //    lookahead is the minimum cross-node latency, and sharding is only
-  //    sound when it is positive (a zero lookahead admits same-instant
-  //    cross-shard effects, so the run collapses to one shard).
+  // Cross-node pairs communicate through timestamped protocol messages
+  // whenever the network is real.
   protocol_ = !scenario_.ideal_network && placement_.nodes > 1;
-  lookahead_ = protocol_ ? min_cross_node_latency() : 0;
-  nshards_ = 1;
-  if (lookahead_ > 0 && config_.shards > 1) {
-    nshards_ = std::min(config_.shards, placement_.nodes);
-  }
   if (protocol_) {
     SOC_CHECK(placement_.ranks < (1 << 15),
               "protocol event keys support < 32768 ranks");
-  }
-  if (nshards_ <= 1) {
-    nthreads_ = 1;
-  } else if (config_.threads == 0) {
-    nthreads_ = static_cast<int>(
-        effective_threads(0, static_cast<std::size_t>(nshards_)));
-  } else {
-    // Explicit thread counts are honored even above the hardware
-    // concurrency so the window/barrier machinery is exercisable on any
-    // host; extra threads just time-slice.
-    nthreads_ = std::min(config_.threads, nshards_);
-  }
-  config_.lookahead = lookahead_;
-
-  // Nodes partition into contiguous shard blocks; a rank lives on its
-  // node's shard, so intra-node messaging is always shard-local.
-  shard_of_node_.assign(nodes, 0);
-  for (std::size_t node = 0; node < nodes; ++node) {
-    shard_of_node_[node] = static_cast<int>(node * static_cast<std::size_t>(
-                                                       nshards_) /
-                                            nodes);
-  }
-  shard_of_rank_.assign(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    shard_of_rank_[r] =
-        shard_of_node_[static_cast<std::size_t>(placement_.node_of[r])];
   }
 
   states_.assign(n, RankState{});
@@ -321,34 +191,22 @@ RunStats Engine::run(OpSource& source) {
       config_.queue_reserve > 0
           ? static_cast<std::size_t>(config_.queue_reserve)
           : 2 * n + 16;
-  shards_.resize(static_cast<std::size_t>(nshards_));
-  for (auto& sh : shards_) {
-    sh.queue.clear();
-    sh.queue.reserve(reserve);
-    sh.proto_pool.clear();
-    sh.proto_free.clear();
-    sh.pending_sends.clear();
-    sh.pending_recvs.clear();
-    sh.pending_irecvs.clear();
-    sh.arrivals.clear();
-    sh.pending_sends.reserve(reserve);
-    sh.pending_recvs.reserve(reserve);
-    sh.pending_irecvs.reserve(reserve);
-    sh.arrivals.reserve(reserve);
-    sh.commits.clear();
-    sh.outbox.resize(static_cast<std::size_t>(nshards_));
-    for (auto& box : sh.outbox) {
-      while (!box.empty()) box.pop_front();
-    }
-    sh.ev_time = 0;
-    sh.ev_key = 0;
-    sh.counters = ShardCounters{};
-    if (tel_ != nullptr) {
-      sh.counters.mailbox_sent.assign(static_cast<std::size_t>(nshards_), 0);
-    }
-  }
+  queue_.clear();
+  queue_.reserve(reserve);
+  proto_pool_.clear();
+  proto_free_.clear();
+  pending_sends_.clear();
+  pending_recvs_.clear();
+  pending_irecvs_.clear();
+  arrivals_.clear();
+  pending_sends_.reserve(reserve);
+  pending_recvs_.reserve(reserve);
+  pending_irecvs_.reserve(reserve);
+  arrivals_.reserve(reserve);
+  commits_.clear();
+  ev_time_ = 0;
+  ev_key_ = 0;
   audit_ = Fnv1a{};
-  merged_.clear();
   pending_send_depth_ = 0;
   pending_recv_depth_ = 0;
   if (observer_ != nullptr) observer_->on_run_begin(placement_, config_);
@@ -356,11 +214,20 @@ RunStats Engine::run(OpSource& source) {
   const SimTime horizon = from_seconds(config_.max_sim_seconds);
   for (std::size_t r = 0; r < n; ++r) wake(static_cast<int>(r), 0);
 
-  if (nshards_ <= 1) {
-    run_serial(horizon);
-  } else {
-    run_windowed(horizon);
+  // Commit records flush in canonical (time, key) order once per
+  // completed timestamp: every event at that time has run by then, so
+  // sorting the batch is enough.
+  SimTime flushed = 0;
+  while (!queue_.empty()) {
+    if (queue_.top().time != flushed) {
+      replay_commits();
+      flushed = queue_.top().time;
+    }
+    const KeyedEvent e = queue_.pop();
+    SOC_CHECK(e.time <= horizon, "simulation exceeded max_sim_seconds");
+    process_event(e);
   }
+  replay_commits();
   source_ = nullptr;
 
   // Every rank must have drained its stream; otherwise communication
@@ -390,275 +257,48 @@ RunStats Engine::run(OpSource& source) {
   stats_.event_checksum = audit_.value();
   if (observer_ != nullptr) observer_->on_run_end(stats_);
   if (tel_ != nullptr) {
-    tel_finalize();
+    tel_->events_committed = stats_.events_committed;
+    tel_->shard.assign(1, counters_);
     tel_ = nullptr;
   }
   return stats_;
 }
 
-void Engine::run_serial(SimTime horizon) {
-  // One shard, no windows.  Commit records still buffer and flush in
-  // canonical (time, key) order — per completed timestamp, which is
-  // exactly the order the windowed merge produces (late same-time
-  // insertions land before the flush, so sorting the batch is enough).
-  Shard& sh = shards_[0];
-  SimTime flushed = 0;
-  while (!sh.queue.empty()) {
-    if (sh.queue.top().time != flushed) {
-      replay_commits(sh.commits);
-      flushed = sh.queue.top().time;
-    }
-    const KeyedEvent e = sh.queue.pop();
-    SOC_CHECK(e.time <= horizon, "simulation exceeded max_sim_seconds");
-    process_event(sh, e);
-  }
-  replay_commits(sh.commits);
-}
-
-void Engine::step_shard(Shard& sh, SimTime window_end, SimTime horizon) {
+void Engine::enqueue_proto(const ProtoMsg& p) {
   if (tel_ != nullptr) {
-    ++sh.counters.windows_stepped;
-    if (sh.queue.empty() || sh.queue.top().time >= window_end) {
-      ++sh.counters.empty_windows;
+    switch (p.kind) {
+      case ProtoKind::kArrival: ++counters_.protos_arrival; break;
+      case ProtoKind::kRts: ++counters_.protos_rts; break;
+      case ProtoKind::kCts: ++counters_.protos_cts; break;
     }
   }
-  while (!sh.queue.empty() && sh.queue.top().time < window_end) {
-    const KeyedEvent e = sh.queue.pop();
-    SOC_CHECK(e.time <= horizon, "simulation exceeded max_sim_seconds");
-    process_event(sh, e);
-  }
-}
-
-void Engine::run_windowed(SimTime horizon) {
-  // Conservative window loop: every shard may execute all events with
-  // time < H + lookahead, because anything another shard can still send
-  // it is timestamped >= its emission time + lookahead >= H + lookahead.
-  // Between windows the coordinator (this thread) drains the mailboxes,
-  // merges the per-shard commit buffers into the canonical stream, and
-  // advances H to the earliest remaining event.
-  SimTime window_end = 0;
-  SimTime h = 0;  // Every rank starts queued at t = 0.
-
-  const auto finish_window = [&]() {
-    drain_outboxes();
-    for (auto& sh : shards_) {
-      merged_.insert(merged_.end(), sh.commits.begin(), sh.commits.end());
-      sh.commits.clear();
-    }
-    replay_commits(merged_);
-  };
-  const auto next_horizon = [&](SimTime* out) {
-    bool any = false;
-    SimTime next = 0;
-    for (const auto& sh : shards_) {
-      if (sh.queue.empty()) continue;
-      const SimTime t = sh.queue.top().time;
-      if (!any || t < next) next = t;
-      any = true;
-    }
-    if (any) *out = next;
-    return any;
-  };
-
-  if (nthreads_ <= 1) {
-    // The coordinator steps every shard itself; for telemetry it is the
-    // run's single worker (busy == step wall, so the decomposition's
-    // imbalance and barrier terms are zero by construction).
-    for (;;) {
-      window_end = h + lookahead_;
-      if (tel_ == nullptr) {
-        for (auto& sh : shards_) step_shard(sh, window_end, horizon);
-      } else {
-        const std::uint64_t b0 = tel_now_ns();
-        for (auto& sh : shards_) step_shard(sh, window_end, horizon);
-        const std::uint64_t b1 = tel_now_ns();
-        tel_->step_wall_ns += b1 - b0;
-        tel_->busy_max_ns += b1 - b0;
-        tel_->busy_sum_ns += b1 - b0;
-        tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kStep,
-                 0, tel_->windows, b0, b1);
-      }
-      finish_window();
-      if (tel_ != nullptr) ++tel_->windows;
-      if (!next_horizon(&h)) return;
-      SOC_CHECK(h >= window_end, "conservative lookahead violated");
-    }
-  }
-
-  // Persistent worker pool; two barrier cycles per window.  The
-  // coordinator writes window_end / stop strictly before the start
-  // barrier and reads shard state strictly after the end barrier, so the
-  // barrier's happens-before is the only synchronization the shard state
-  // (and the mailboxes) needs.
-  Barrier start_bar(nthreads_ + 1);
-  Barrier end_bar(nthreads_ + 1);
-  bool stop = false;  // SOC_SHARED(start_bar)
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(nthreads_));  // SOC_SHARED(end_bar)
-  if (tel_ != nullptr) {
-    // Worker-slot scratch: each worker writes only its own element
-    // between the barriers; the coordinator reads strictly after the end
-    // barrier (the same happens-before the shard state relies on).
-    tel_window_busy_.assign(static_cast<std::size_t>(nthreads_), 0);
-    tel_worker_spans_.assign(static_cast<std::size_t>(nthreads_), {});
-    tel_worker_barrier_.assign(static_cast<std::size_t>(nthreads_), 0);
-    tel_worker_drops_.assign(static_cast<std::size_t>(nthreads_), 0);
-    tel_->worker_busy_ns.assign(static_cast<std::size_t>(nthreads_), 0);
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(nthreads_));
-  for (int t = 0; t < nthreads_; ++t) {
-    pool.emplace_back([this, t, &start_bar, &end_bar, &stop, &errors,
-                       &window_end, horizon] {
-      const std::size_t slot = static_cast<std::size_t>(t);
-      std::uint64_t window = 0;
-      for (;;) {
-        const std::uint64_t b0 = tel_ != nullptr ? tel_now_ns() : 0;
-        start_bar.arrive_and_wait();
-        if (stop) return;
-        const std::uint64_t b1 = tel_ != nullptr ? tel_now_ns() : 0;
-        try {
-          for (int s = t; s < nshards_; s += nthreads_) {
-            step_shard(shards_[static_cast<std::size_t>(s)], window_end,
-                       horizon);
-          }
-        } catch (...) {
-          errors[static_cast<std::size_t>(t)] = std::current_exception();
-        }
-        if (tel_ != nullptr) {
-          const std::uint64_t b2 = tel_now_ns();
-          tel_window_busy_[slot] = b2 - b1;
-          tel_worker_barrier_[slot] += b1 - b0;
-          tel_span(tel_worker_spans_[slot], &tel_worker_drops_[slot],
-                   EngineSpan::kBarrier, 1 + t, window, b0, b1);
-          tel_span(tel_worker_spans_[slot], &tel_worker_drops_[slot],
-                   EngineSpan::kStep, 1 + t, window, b1, b2);
-        }
-        end_bar.arrive_and_wait();
-        ++window;
-      }
-    });
-  }
-
-  std::exception_ptr failure;
-  for (;;) {
-    window_end = h + lookahead_;
-    const std::uint64_t w0 = tel_ != nullptr ? tel_now_ns() : 0;
-    start_bar.arrive_and_wait();
-    end_bar.arrive_and_wait();
-    if (tel_ != nullptr) {
-      // step_wall (coordinator wait from release to last finisher)
-      // brackets every worker's busy span, so busy_max <= step_wall per
-      // window — the inequality the decomposition's barrier term needs.
-      const std::uint64_t w1 = tel_now_ns();
-      tel_->step_wall_ns += w1 - w0;
-      std::uint64_t wmax = 0;
-      std::uint64_t wsum = 0;
-      for (int t = 0; t < nthreads_; ++t) {
-        const std::uint64_t busy = tel_window_busy_[static_cast<std::size_t>(t)];
-        wsum += busy;
-        if (busy > wmax) wmax = busy;
-        tel_->worker_busy_ns[static_cast<std::size_t>(t)] += busy;
-      }
-      tel_->busy_max_ns += wmax;
-      tel_->busy_sum_ns += wsum;
-      tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kBarrier,
-               0, tel_->windows, w0, w1);
-    }
-    for (auto& err : errors) {
-      if (err && !failure) failure = err;
-      err = nullptr;
-    }
-    if (failure) break;
-    finish_window();
-    if (tel_ != nullptr) ++tel_->windows;
-    if (!next_horizon(&h)) break;
-    SOC_CHECK(h >= window_end, "conservative lookahead violated");
-  }
-  stop = true;
-  start_bar.arrive_and_wait();
-  for (auto& th : pool) th.join();
-  if (failure) std::rethrow_exception(failure);
-}
-
-void Engine::drain_outboxes() {
-  const std::uint64_t t0 = tel_ != nullptr ? tel_now_ns() : 0;
-  for (int ts = 0; ts < nshards_; ++ts) {
-    Shard& dst = shards_[static_cast<std::size_t>(ts)];
-    for (int fs = 0; fs < nshards_; ++fs) {
-      auto& box = shards_[static_cast<std::size_t>(fs)]
-                      .outbox[static_cast<std::size_t>(ts)];
-      while (!box.empty()) {
-        enqueue_proto(dst, box.front());
-        box.pop_front();
-      }
-    }
-  }
-  if (tel_ != nullptr) {
-    const std::uint64_t t1 = tel_now_ns();
-    tel_->drain_wall_ns += t1 - t0;
-    tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kDrain, 0,
-             tel_->windows, t0, t1);
-  }
-}
-
-void Engine::enqueue_proto(Shard& dst, const ProtoMsg& p) {
   std::int32_t slot;
-  if (!dst.proto_free.empty()) {
-    slot = dst.proto_free.back();
-    dst.proto_free.pop_back();
-    dst.proto_pool[static_cast<std::size_t>(slot)] = p;
+  if (!proto_free_.empty()) {
+    slot = proto_free_.back();
+    proto_free_.pop_back();
+    proto_pool_[static_cast<std::size_t>(slot)] = p;
   } else {
-    slot = static_cast<std::int32_t>(dst.proto_pool.size());
-    dst.proto_pool.push_back(p);
+    slot = static_cast<std::int32_t>(proto_pool_.size());
+    proto_pool_.push_back(p);
   }
   // Negative payload marks a proto; the slot survives until the event
-  // pops (protos routinely outlive many windows).
-  dst.queue.push(p.time, p.key, -(slot + 1));
-  if (tel_ != nullptr && dst.queue.size() > dst.counters.queue_high_water) {
-    dst.counters.queue_high_water = dst.queue.size();
+  // pops.
+  queue_.push(p.time, p.key, -(slot + 1));
+  if (tel_ != nullptr && queue_.size() > counters_.queue_high_water) {
+    counters_.queue_high_water = queue_.size();
   }
 }
 
-void Engine::send_proto(int emitter_rank, int target_rank, const ProtoMsg& p) {
-  const int fs = shard_of_rank_[static_cast<std::size_t>(emitter_rank)];
-  const int ts = shard_of_rank_[static_cast<std::size_t>(target_rank)];
-  if (tel_ != nullptr) {
-    // Emission counters belong to the emitter's shard (the one executing
-    // this call).  The per-kind totals are shard-count-invariant: whether
-    // a pair uses the protocol depends only on node placement, never on
-    // the partition.
-    ShardCounters& c = shards_[static_cast<std::size_t>(fs)].counters;
-    switch (p.kind) {
-      case ProtoKind::kArrival: ++c.protos_arrival; break;
-      case ProtoKind::kRts: ++c.protos_rts; break;
-      case ProtoKind::kCts: ++c.protos_cts; break;
-    }
-    if (fs != ts) {
-      ++c.cross_shard_sent;
-      ++c.mailbox_sent[static_cast<std::size_t>(ts)];
-    }
-  }
-  if (fs == ts) {
-    enqueue_proto(shards_[static_cast<std::size_t>(fs)], p);
-  } else {
-    shards_[static_cast<std::size_t>(fs)]
-        .outbox[static_cast<std::size_t>(ts)]
-        .push_back(p);
-  }
-}
-
-void Engine::process_event(Shard& sh, const KeyedEvent& e) {
+void Engine::process_event(const KeyedEvent& e) {
   // Commit records emitted while this event executes inherit its
-  // canonical (time, key) — that is what lets the coordinator restore
-  // the global total order from per-shard buffers.
-  sh.ev_time = e.time;
-  sh.ev_key = e.key;
-  if (tel_ != nullptr) ++sh.counters.events_processed;
+  // canonical (time, key), which replay_commits sorts on.
+  ev_time_ = e.time;
+  ev_key_ = e.key;
+  if (tel_ != nullptr) ++counters_.events_processed;
   if (e.payload < 0) {
     const std::int32_t slot = -(e.payload + 1);
-    const ProtoMsg p = sh.proto_pool[static_cast<std::size_t>(slot)];
-    sh.proto_free.push_back(slot);
+    const ProtoMsg p = proto_pool_[static_cast<std::size_t>(slot)];
+    proto_free_.push_back(slot);
     switch (p.kind) {
       case ProtoKind::kArrival: process_arrival(p, e.time); return;
       case ProtoKind::kRts: process_rts(p, e.time); return;
@@ -669,14 +309,13 @@ void Engine::process_event(Shard& sh, const KeyedEvent& e) {
   execute_next(e.payload, e.time);
 }
 
-void Engine::replay_commits(std::vector<CommitRec>& recs) {
-  const std::uint64_t t0 = tel_ != nullptr ? tel_now_ns() : 0;
-  std::stable_sort(recs.begin(), recs.end(),
+void Engine::replay_commits() {
+  std::stable_sort(commits_.begin(), commits_.end(),
                    [](const CommitRec& a, const CommitRec& b) {
                      if (a.time != b.time) return a.time < b.time;
                      return a.key < b.key;
                    });
-  for (const CommitRec& rec : recs) {
+  for (const CommitRec& rec : commits_) {
     switch (rec.type) {
       case CommitType::kDispatch: {
         const DispatchRecord& d = rec.u.dispatch;
@@ -708,24 +347,21 @@ void Engine::replay_commits(std::vector<CommitRec>& recs) {
         break;
     }
   }
-  if (tel_ != nullptr) {
-    tel_->commit_records += recs.size();
-    const std::uint64_t t1 = tel_now_ns();
-    tel_->merge_wall_ns += t1 - t0;
-    tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kMerge, 0,
-             tel_->windows, t0, t1);
-  }
-  recs.clear();
+  if (tel_ != nullptr) tel_->commit_records += commits_.size();
+  commits_.clear();
+}
+
+Engine::CommitRec& Engine::push_commit(CommitType type) {
+  CommitRec& rec = commits_.emplace_back();
+  rec.time = ev_time_;
+  rec.key = ev_key_;
+  rec.type = type;
+  return rec;
 }
 
 void Engine::commit_dispatch(int rank, SimTime now, std::uint8_t kind,
                              Bytes bytes, int peer, int tag) {
-  Shard& sh = shard_of(rank);
-  CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
-  rec.type = CommitType::kDispatch;
-  DispatchRecord& d = rec.u.dispatch;
+  DispatchRecord& d = push_commit(CommitType::kDispatch).u.dispatch;
   d.time = now;
   d.rank = rank;
   d.node = placement_.node_of[static_cast<std::size_t>(rank)];
@@ -735,19 +371,13 @@ void Engine::commit_dispatch(int rank, SimTime now, std::uint8_t kind,
   d.pc = static_cast<std::int32_t>(states_[static_cast<std::size_t>(rank)].pc);
   d.peer = peer;
   d.tag = tag;
-  sh.commits.push_back(rec);
 }
 
 void Engine::commit_span(Lane lane, int rank, int node, std::uint8_t kind,
                          SimTime start, SimTime end, SimTime queue_wait,
                          SimTime fabric_wait, Bytes bytes) {
   if (observer_ == nullptr) return;
-  Shard& sh = shard_of(rank);
-  CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
-  rec.type = CommitType::kSpan;
-  SpanRecord& span = rec.u.span;
+  SpanRecord& span = push_commit(CommitType::kSpan).u.span;
   span.lane = lane;
   span.rank = rank;
   span.node = node;
@@ -758,32 +388,20 @@ void Engine::commit_span(Lane lane, int rank, int node, std::uint8_t kind,
   span.queue_wait = queue_wait;
   span.fabric_wait = fabric_wait;
   span.bytes = bytes;
-  sh.commits.push_back(rec);
 }
 
 void Engine::commit_message(const MessageRecord& message) {
   if (observer_ == nullptr) return;
-  // The receive side commits the transfer, so the record belongs to the
-  // receiver's shard (same shard as the emitting event).
-  Shard& sh = shard_of(message.dst_rank);
-  CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
-  rec.type = CommitType::kMessage;
-  rec.u.message = message;
-  sh.commits.push_back(rec);
+  push_commit(CommitType::kMessage).u.message = message;
 }
 
-void Engine::commit_pending(int rank, int dsends, int drecvs, bool park) {
+void Engine::commit_pending(int dsends, int drecvs, bool park) {
   if (observer_ == nullptr) return;
-  Shard& sh = shard_of(rank);
-  CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
-  rec.type = park ? CommitType::kPendingPark : CommitType::kPendingMatch;
-  rec.u.pending.sends = dsends;
-  rec.u.pending.recvs = drecvs;
-  sh.commits.push_back(rec);
+  PendingDelta& delta =
+      push_commit(park ? CommitType::kPendingPark : CommitType::kPendingMatch)
+          .u.pending;
+  delta.sends = dsends;
+  delta.recvs = drecvs;
 }
 
 void Engine::advance(int rank) {
@@ -793,12 +411,11 @@ void Engine::advance(int rank) {
 }
 
 void Engine::wake(int rank, SimTime time) {
-  Shard& sh = shard_of(rank);
-  sh.queue.push(time, wake_key(rank), rank);
+  queue_.push(time, wake_key(rank), rank);
   if (tel_ != nullptr) {
-    ++sh.counters.wakes;
-    if (sh.queue.size() > sh.counters.queue_high_water) {
-      sh.counters.queue_high_water = sh.queue.size();
+    ++counters_.wakes;
+    if (queue_.size() > counters_.queue_high_water) {
+      counters_.queue_high_water = queue_.size();
     }
   }
 }
@@ -818,7 +435,7 @@ void Engine::execute_next(int rank, SimTime now) {
         break;
       }
       st.have_current = true;
-      if (tel_ != nullptr) ++shard_of(rank).counters.ops_fetched;
+      if (tel_ != nullptr) ++counters_.ops_fetched;
     }
     const Op& op = st.current;
     // Every dispatch — including re-dispatch of a parked op after a
@@ -990,7 +607,7 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
       return;
     }
     // Rendezvous: park and announce with an RTS that reaches the
-    // receiver's shard one wire latency from now.  The matching receive
+    // receiver one wire latency from now.  The matching receive
     // computes the transfer there and unblocks us with a kCts.
     const int src_node = placement_.node_of[static_cast<std::size_t>(rank)];
     const int dst_node = placement_.node_of[static_cast<std::size_t>(op.peer)];
@@ -1005,23 +622,22 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     p.tx_est = nic_tx_free_[static_cast<std::size_t>(src_node)];
     p.time = now + cost_.message_latency(src_node, dst_node);
     p.key = next_proto_key(rank, op.peer);
-    send_proto(rank, op.peer, p);
+    enqueue_proto(p);
     st.blocked = true;
     return;
   }
 
   if (op.bytes <= config_.eager_threshold) {
-    Shard& sh = shard_of(rank);
     const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes, op.tag);
     const SimTime overhead = cost_.send_overhead(rank);
     rs.msg_overhead += overhead;
 
-    auto* pending = sh.pending_recvs.find(key);
-    auto* posted = sh.pending_irecvs.find(key);
+    auto* pending = pending_recvs_.find(key);
+    auto* posted = pending_irecvs_.find(key);
     if (pending != nullptr && !pending->empty()) {
       const PendingRecv pr = pending->front();
       pending->pop_front();
-      commit_pending(rank, 0, -1, /*park=*/false);
+      commit_pending(0, -1, /*park=*/false);
       auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
       const SimTime complete =
           std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
@@ -1031,10 +647,10 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     } else if (posted != nullptr && !posted->empty()) {
       const int recv_rank = posted->front();
       posted->pop_front();
-      commit_pending(rank, 0, -1, /*park=*/false);
+      commit_pending(0, -1, /*park=*/false);
       resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
     } else {
-      sh.arrivals[key].push_back(Arrival{arrival, op.bytes});
+      arrivals_[key].push_back(Arrival{arrival, op.bytes});
     }
 
     advance(rank);
@@ -1043,20 +659,19 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
   }
 
   // Rendezvous: need a posted receive (blocking or non-blocking).
-  Shard& sh = shard_of(rank);
-  auto* pending = sh.pending_recvs.find(key);
+  auto* pending = pending_recvs_.find(key);
   if (pending != nullptr && !pending->empty()) {
     const PendingRecv pr = pending->front();
     pending->pop_front();
-    commit_pending(rank, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     complete_rendezvous(rank, now, pr.rank, pr.ready, op.bytes, op.tag);
     return;
   }
-  auto* posted = sh.pending_irecvs.find(key);
+  auto* posted = pending_irecvs_.find(key);
   if (posted != nullptr && !posted->empty()) {
     const int recv_rank = posted->front();
     posted->pop_front();
-    commit_pending(rank, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     const SimTime end = timed_transfer(rank, recv_rank, now, op.bytes, op.tag);
     stats_.ranks[static_cast<std::size_t>(rank)].send_blocked += end - now;
     advance(rank);
@@ -1064,9 +679,9 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
     return;
   }
-  sh.pending_sends[key].push_back(
+  pending_sends_[key].push_back(
       PendingSend{rank, now, op.bytes, st.phase, 0});
-  commit_pending(rank, 1, 0, /*park=*/true);
+  commit_pending(1, 0, /*park=*/true);
   st.blocked = true;
 }
 
@@ -1076,10 +691,9 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
   const MsgKey key = msg_key(op.peer, rank, op.tag);
-  Shard& sh = shard_of(rank);
 
   // Eager message already delivered?
-  auto* arrived = sh.arrivals.find(key);
+  auto* arrived = arrivals_.find(key);
   if (arrived != nullptr && !arrived->empty()) {
     const Arrival a = arrived->front();
     arrived->pop_front();
@@ -1091,11 +705,11 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
   }
 
   // Rendezvous partner already waiting (parked sender, or its RTS)?
-  auto* pending = sh.pending_sends.find(key);
+  auto* pending = pending_sends_.find(key);
   if (pending != nullptr && !pending->empty()) {
     const PendingSend ps = pending->front();
     pending->pop_front();
-    commit_pending(rank, -1, 0, /*park=*/false);
+    commit_pending(-1, 0, /*park=*/false);
     if (use_protocol(op.peer, rank)) {
       const SimTime end =
           rendezvous_match(ps, rank, now, std::max(ps.ready, now), op.tag);
@@ -1107,8 +721,8 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
     }
     return;
   }
-  sh.pending_recvs[key].push_back(PendingRecv{rank, now, st.phase});
-  commit_pending(rank, 0, 1, /*park=*/true);
+  pending_recvs_[key].push_back(PendingRecv{rank, now, st.phase});
+  commit_pending(0, 1, /*park=*/true);
   st.blocked = true;
 }
 
@@ -1131,18 +745,17 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
     return;
   }
 
-  Shard& sh = shard_of(rank);
   const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes, op.tag);
   const SimTime overhead = cost_.send_overhead(rank);
   rs.msg_overhead += overhead;
   st.requests_complete = std::max(st.requests_complete, now + overhead);
 
-  auto* pending = sh.pending_recvs.find(key);
-  auto* posted = sh.pending_irecvs.find(key);
+  auto* pending = pending_recvs_.find(key);
+  auto* posted = pending_irecvs_.find(key);
   if (pending != nullptr && !pending->empty()) {
     const PendingRecv pr = pending->front();
     pending->pop_front();
-    commit_pending(rank, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
     const SimTime complete =
         std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
@@ -1152,10 +765,10 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
   } else if (posted != nullptr && !posted->empty()) {
     const int recv_rank = posted->front();
     posted->pop_front();
-    commit_pending(rank, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
   } else {
-    sh.arrivals[key].push_back(Arrival{arrival, op.bytes});
+    arrivals_[key].push_back(Arrival{arrival, op.bytes});
   }
 
   advance(rank);
@@ -1167,10 +780,9 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
             "invalid irecv peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   const MsgKey key = msg_key(op.peer, rank, op.tag);
-  Shard& sh = shard_of(rank);
 
   // Already-arrived (eager/isend) message?
-  auto* arrived = sh.arrivals.find(key);
+  auto* arrived = arrivals_.find(key);
   if (arrived != nullptr && !arrived->empty()) {
     const Arrival a = arrived->front();
     arrived->pop_front();
@@ -1179,11 +791,11 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
                  std::max(now, a.time) + cost_.recv_overhead(rank));
   } else {
     // A blocking sender already parked in rendezvous (or its RTS landed)?
-    auto* pending = sh.pending_sends.find(key);
+    auto* pending = pending_sends_.find(key);
     if (pending != nullptr && !pending->empty()) {
       const PendingSend ps = pending->front();
       pending->pop_front();
-      commit_pending(rank, -1, 0, /*park=*/false);
+      commit_pending(-1, 0, /*park=*/false);
       if (use_protocol(op.peer, rank)) {
         const SimTime end = rendezvous_match(ps, rank, now,
                                              std::max(ps.ready, now), op.tag);
@@ -1202,8 +814,8 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
       }
     } else {
       ++st.unresolved_requests;
-      sh.pending_irecvs[key].push_back(rank);
-      commit_pending(rank, 0, 1, /*park=*/true);
+      pending_irecvs_[key].push_back(rank);
+      commit_pending(0, 1, /*park=*/true);
     }
   }
 
@@ -1336,14 +948,13 @@ void Engine::launch_eager_remote(int src_rank, int dst_rank, SimTime now,
   p.latency = latency;
   p.time = arrival;
   p.key = next_proto_key(src_rank, dst_rank);
-  send_proto(src_rank, dst_rank, p);
+  enqueue_proto(p);
 }
 
 void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
   const int dst_node = placement_.node_of[static_cast<std::size_t>(dst)];
   const MsgKey key = msg_key(p.src_rank, dst, p.tag);
-  Shard& sh = shard_of(dst);
 
   // Switch output-port queueing at the destination shifts delivery (not
   // the nominal wire end, which cost tables derive transfer times from).
@@ -1388,12 +999,12 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
                 p.start - p.requested, fabric_wait, p.bytes);
   }
 
-  auto* pending = sh.pending_recvs.find(key);
-  auto* posted = sh.pending_irecvs.find(key);
+  auto* pending = pending_recvs_.find(key);
+  auto* posted = pending_irecvs_.find(key);
   if (pending != nullptr && !pending->empty()) {
     const PendingRecv pr = pending->front();
     pending->pop_front();
-    commit_pending(dst, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     const SimTime complete =
         std::max(pr.ready, delivery) + cost_.recv_overhead(pr.rank);
     stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
@@ -1403,10 +1014,10 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
   } else if (posted != nullptr && !posted->empty()) {
     const int recv_rank = posted->front();
     posted->pop_front();
-    commit_pending(dst, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     resolve_request(recv_rank, delivery + cost_.recv_overhead(recv_rank));
   } else {
-    sh.arrivals[key].push_back(Arrival{delivery, p.bytes});
+    arrivals_[key].push_back(Arrival{delivery, p.bytes});
   }
   (void)now;
 }
@@ -1414,14 +1025,13 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
 void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
   const MsgKey key = msg_key(p.src_rank, dst, p.tag);
-  Shard& sh = shard_of(dst);
   const PendingSend ps{p.src_rank, p.requested, p.bytes, p.phase, p.tx_est};
 
-  auto* pending = sh.pending_recvs.find(key);
+  auto* pending = pending_recvs_.find(key);
   if (pending != nullptr && !pending->empty()) {
     const PendingRecv pr = pending->front();
     pending->pop_front();
-    commit_pending(dst, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     const SimTime end =
         rendezvous_match(ps, pr.rank, now, std::max(ps.ready, pr.ready), p.tag);
     stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
@@ -1430,19 +1040,19 @@ void Engine::process_rts(const ProtoMsg& p, SimTime now) {
     wake(pr.rank, end);
     return;
   }
-  auto* posted = sh.pending_irecvs.find(key);
+  auto* posted = pending_irecvs_.find(key);
   if (posted != nullptr && !posted->empty()) {
     const int recv_rank = posted->front();
     posted->pop_front();
-    commit_pending(dst, 0, -1, /*park=*/false);
+    commit_pending(0, -1, /*park=*/false);
     const SimTime end = rendezvous_match(ps, recv_rank, now, ps.ready, p.tag);
     resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
     return;
   }
   // No receive posted yet: park the RTS at the receiver; the matching
   // recv/irecv dispatch picks it out of pending_sends.
-  sh.pending_sends[key].push_back(ps);
-  commit_pending(dst, 1, 0, /*park=*/true);
+  pending_sends_[key].push_back(ps);
+  commit_pending(1, 0, /*park=*/true);
 }
 
 SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
@@ -1473,7 +1083,7 @@ SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
   nic_rx_free_[static_cast<std::size_t>(dst_node)] = end;
   // The CTS travels back one forward latency from the match; when the
   // transfer itself is longer it simply rides its tail.  The floor keeps
-  // the conservative-window invariant (cts >= match_time + lookahead).
+  // every protocol timestamp at least one latency past its emission.
   const SimTime cts = std::max(end, match_time + latency);
 
   // Receiver-side accounting; the sender side books when kCts lands.
@@ -1519,7 +1129,7 @@ SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
   cp.fabric_wait = fabric_wait;
   cp.time = cts;
   cp.key = next_proto_key(recv_rank, ps.rank);
-  send_proto(recv_rank, ps.rank, cp);
+  enqueue_proto(cp);
   return end;
 }
 

@@ -78,12 +78,11 @@ class EventQueue {
 };
 
 /// An event ordered by an *intrinsic* 64-bit key instead of insertion
-/// order.  The sharded engine needs a total event order that every shard
-/// can reproduce without coordination, and push order is inherently
-/// schedule-dependent — so ties at equal times break on a key derived
-/// from the event's identity (protocol class, endpoint ranks, per-rank
-/// sequence; see engine.cpp's event_key helpers).  Keys are unique among
-/// coexisting events, making (time, key) a strict total order.
+/// order: ties at equal times break on a key derived from the event's
+/// identity (protocol class, endpoint ranks, per-rank sequence; see
+/// engine.cpp's event_key helpers), so the committed order does not
+/// depend on push order.  Keys are unique among coexisting events, making
+/// (time, key) a strict total order.
 struct KeyedEvent {
   SimTime time = 0;
   std::uint64_t key = 0;
@@ -93,8 +92,8 @@ struct KeyedEvent {
 
 /// Deterministic min-heap keyed by (time, key).  Unlike EventQueue, pop
 /// order is independent of push order by construction, so two engines
-/// that schedule the same event set in different orders (different shard
-/// counts, mailbox drains) still pop identically.
+/// that schedule the same event set in different orders still pop
+/// identically.
 class KeyedEventQueue {
  public:
   void push(SimTime time, std::uint64_t key, std::int32_t payload);

@@ -16,8 +16,8 @@ std::uint64_t pack_path(int src_node, int dst_node) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_node));
 }
 
-// Scoped lock that engages only when the memo is shared by the sharded
-// engine's worker pool (nullptr = single-thread mode, no locking).
+// Scoped lock that engages only when the memo is shared between threads
+// (nullptr = single-thread mode, no locking).
 // Conditional acquisition is outside what the static analysis can model,
 // so both special members opt out of it.
 class OptionalLock {

@@ -27,11 +27,10 @@ namespace soc::sim {
 /// or more runs over fixed programs.  The wrapper holds a non-owning
 /// reference; keep the base model alive for the wrapper's lifetime.
 ///
-/// By default an instance belongs to one thread.  Pass `thread_safe` when
-/// the wrapper is shared by the sharded engine's worker pool: every cache
-/// access then serializes on an internal mutex (the cached *values* are
-/// identical either way — a lost race costs one redundant base
-/// evaluation, never a wrong result).
+/// By default an instance belongs to one thread.  Pass `thread_safe` to
+/// share one wrapper between threads: every cache access then serializes
+/// on an internal mutex (the cached *values* are identical either way — a
+/// lost race costs one redundant base evaluation, never a wrong result).
 class MemoCostModel : public CostModel {
  public:
   explicit MemoCostModel(const CostModel& base, bool thread_safe = false);

@@ -1,138 +1,45 @@
 // Engine self-telemetry: what the *simulator itself* did during a run.
 //
-// PRs 2/5/7 observe the simulated cluster; this header observes the
-// engine.  An EngineTelemetry instance attached through
-// EngineConfig::telemetry makes run() record two very different kinds of
-// data, and the split is the whole design:
-//
-//  - Deterministic counters.  Events processed, ops fetched, wakes,
-//    protocol messages by kind — quantities fixed by the simulation's
-//    control flow.  The committed event stream is byte-identical at any
-//    shard/thread count (DESIGN.md §16), so these aggregate counters are
-//    too, and CI compares their JSON rendering across shard counts,
-//    thread counts, and build flavors like any other artifact.  Per-shard
-//    detail (queue high-water, windows stepped, mailbox traffic) is
-//    deterministic only at a fixed shard count and lives in a separate
-//    artifact section.
-//
-//  - Wall-clock timings.  Per-window step/barrier/drain/merge spans of
-//    the real execution, per-worker busy time.  Nondeterministic by
-//    nature, never CI-compared, and the input to the zero-residual
-//    scaling-loss decomposition in src/prof/selfprof.h.
-//
-// The counters live inside Engine::Shard (each shard counts only its own
-// work, under the same SOC_SHARD_LOCAL discipline as the rest of the
-// shard state) and are aggregated into this struct by the coordinator.
-// With no telemetry attached every instrumentation site is a single
-// pointer test — the engine's hot path is otherwise untouched.
+// The observers of src/obs observe the simulated cluster; this header
+// observes the engine.  An EngineTelemetry instance attached through
+// EngineConfig::telemetry makes run() record deterministic work counters:
+// events processed, ops fetched, wakes, protocol messages by kind, and the
+// event queue's high-water mark.  Every one of them is fixed by the
+// simulation's control flow, so the rendered counter document is
+// byte-identical across repeated runs and build flavors, and CI compares
+// it like any other artifact.  With no telemetry attached every
+// instrumentation site is a single pointer test.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/units.h"
-
 namespace soc::sim {
 
-/// Deterministic work counters for one event-queue shard.  Members are
-/// written only by the owning worker during a window (or by the
-/// coordinator between barriers), exactly like every other Shard member.
+/// Deterministic work counters of the engine's event queue.  The name is
+/// kept for source compatibility with code outside src/ that reads it.
 struct ShardCounters {
-  std::uint64_t events_processed = 0;  // SOC_SHARD_LOCAL
-  std::uint64_t wakes = 0;             // SOC_SHARD_LOCAL
-  std::uint64_t ops_fetched = 0;       // SOC_SHARD_LOCAL
-  std::uint64_t protos_arrival = 0;    // SOC_SHARD_LOCAL
-  std::uint64_t protos_rts = 0;        // SOC_SHARD_LOCAL
-  std::uint64_t protos_cts = 0;        // SOC_SHARD_LOCAL
-  std::uint64_t cross_shard_sent = 0;  // SOC_SHARD_LOCAL
-  std::uint64_t queue_high_water = 0;  // SOC_SHARD_LOCAL
-  std::uint64_t windows_stepped = 0;   // SOC_SHARD_LOCAL
-  std::uint64_t empty_windows = 0;     // SOC_SHARD_LOCAL
-  /// Cross-shard protocol messages routed into each destination shard's
-  /// mailbox (index = destination shard; self entry stays zero).
-  std::vector<std::uint64_t> mailbox_sent;  // SOC_SHARD_LOCAL
+  std::uint64_t events_processed = 0;
+  std::uint64_t wakes = 0;
+  std::uint64_t ops_fetched = 0;
+  std::uint64_t protos_arrival = 0;
+  std::uint64_t protos_rts = 0;
+  std::uint64_t protos_cts = 0;
+  std::uint64_t queue_high_water = 0;
 };
-
-/// One wall-clock span of the engine's own execution, for the real-time
-/// Chrome trace (obs::engine_wallclock_trace_json).  Times are
-/// nanoseconds since run() started, from a monotonic clock.
-struct EngineSpan {
-  enum Kind : std::uint8_t {
-    kStep = 0,  ///< A worker (or the coordinator) stepping its shards.
-    kBarrier,   ///< Waiting at a window barrier.
-    kDrain,     ///< Coordinator draining cross-shard mailboxes.
-    kMerge,     ///< Coordinator merging/replaying commit buffers.
-  };
-  Kind kind = kStep;
-  /// Execution lane: 0 = coordinator thread, 1 + w for pool worker w.
-  std::int32_t lane = 0;
-  std::uint64_t window = 0;    ///< Window index (0 outside the loop).
-  std::uint64_t begin_ns = 0;
-  std::uint64_t end_ns = 0;
-};
-
-const char* engine_span_kind_name(EngineSpan::Kind kind);
 
 /// Self-instrumentation sink for one Engine::run.  Attach via
 /// EngineConfig::telemetry (non-owning; must outlive the run); run()
 /// resets it at entry, so instances are reusable across runs.
 struct EngineTelemetry {
-  // --- resolved run shape (echoed so artifacts are self-describing) ---
-  int shards = 1;
-  int workers = 1;       ///< Pool threads; 1 = coordinator-stepped.
-  bool windowed = false; ///< False = serial path (one shard, no windows).
-  SimTime lookahead = 0; ///< Resolved conservative lookahead (ns).
-
-  // --- deterministic counters (aggregates are shard/thread-invariant) ---
   std::uint64_t events_committed = 0;
   std::uint64_t commit_records = 0;  ///< Observer-dependent, run-stable.
-  std::uint64_t windows = 0;         ///< Window-loop iterations.
-  std::vector<ShardCounters> shard;  ///< Per-shard detail.
+  /// The engine's queue counters.  One element: the engine is serial
+  /// (EngineConfig::shards is always 1).
+  std::vector<ShardCounters> shard;
 
-  // --- wall-clock timings (nondeterministic) ---
-  std::uint64_t wall_total_ns = 0;  ///< run() entry to exit.
-  /// Coordinator-observed window phases.  step_wall is the time between
-  /// releasing the workers and the last one finishing (it upper-bounds
-  /// busy_max); drain/merge are the between-barrier coordinator phases.
-  std::uint64_t step_wall_ns = 0;
-  std::uint64_t drain_wall_ns = 0;
-  std::uint64_t merge_wall_ns = 0;
-  /// Per-window worker busy time folded across windows: busy_max sums
-  /// each window's slowest worker, busy_sum sums all workers.  The
-  /// telescoped scaling decomposition (prof::explain_scaling) is built
-  /// on step_wall >= busy_max >= busy_sum / workers holding per window.
-  std::uint64_t busy_max_ns = 0;
-  std::uint64_t busy_sum_ns = 0;
-  std::vector<std::uint64_t> worker_busy_ns;     ///< Total per pool worker.
-  std::vector<std::uint64_t> worker_barrier_ns;  ///< Barrier wait per worker.
-
-  // --- wall-clock trace spans (bounded; drops counted, never silent) ---
-  std::size_t max_spans_per_lane = 1 << 14;
-  std::uint64_t spans_dropped = 0;
-  std::vector<EngineSpan> spans;
-
-  /// Clears everything except max_spans_per_lane (run() calls this).
-  void reset() {
-    shards = 1;
-    workers = 1;
-    windowed = false;
-    lookahead = 0;
-    events_committed = 0;
-    commit_records = 0;
-    windows = 0;
-    shard.clear();
-    wall_total_ns = 0;
-    step_wall_ns = 0;
-    drain_wall_ns = 0;
-    merge_wall_ns = 0;
-    busy_max_ns = 0;
-    busy_sum_ns = 0;
-    worker_busy_ns.clear();
-    worker_barrier_ns.clear();
-    spans_dropped = 0;
-    spans.clear();
-  }
+  /// Clears everything (run() calls this).
+  void reset() { *this = EngineTelemetry{}; }
 };
 
 }  // namespace soc::sim

@@ -1,8 +1,11 @@
-// Tests for common/: units, deterministic RNG, error macros, tables.
+// Tests for common/: units, deterministic RNG, error macros, tables,
+// command-line usage errors.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "common/args.h"
 #include "common/error.h"
 #include "common/flat_map.h"
 #include "common/ring_queue.h"
@@ -121,6 +124,34 @@ TEST(Error, CheckMacroThrowsWithContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("math is broken"), std::string::npos);
+  }
+}
+
+// A malformed command line is a UsageError (tools answer it with usage
+// and exit 2), distinct from a failed SOC_CHECK inside the simulator.
+TEST(Error, MalformedCommandLinesAreUsageErrors) {
+  const auto parse = [](std::vector<const char*> argv) {
+    ArgParser p;
+    p.add_flag("--nodes", "cluster size", "8");
+    p.add_bool("--quick", "smoke subset");
+    argv.insert(argv.begin(), "prog");
+    p.parse(static_cast<int>(argv.size()), argv.data());
+    return p;
+  };
+  EXPECT_THROW(parse({"run", "--bogus", "4"}), UsageError);
+  EXPECT_THROW(parse({"--nodes"}), UsageError);
+  EXPECT_THROW(parse({"--quick=yes"}), UsageError);
+  EXPECT_THROW(parse({"--nodes", "four"}).get_int("--nodes"), UsageError);
+  EXPECT_THROW(parse({"--nodes", "4x"}).get_int("--nodes"), UsageError);
+  EXPECT_THROW(parse({"--nodes=0.5x"}).get_double("--nodes"), UsageError);
+  EXPECT_THROW(parse_int_list("2,4,x"), UsageError);
+  EXPECT_EQ(parse({"--nodes", "16"}).get_int("--nodes"), 16);
+  // Internal invariants stay plain errors, not usage errors.
+  try {
+    SOC_CHECK(false, "internal");
+  } catch (const UsageError&) {
+    FAIL() << "SOC_CHECK must not raise a usage error";
+  } catch (const Error&) {
   }
 }
 

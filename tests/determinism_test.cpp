@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <functional>
 #include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -22,6 +24,7 @@
 #include "net/network.h"
 #include "obs/observers.h"
 #include "systems/machines.h"
+#include "workloads/scenario.h"
 #include "workloads/workload.h"
 
 namespace soc {
@@ -180,6 +183,137 @@ TEST(Determinism, ChecksumStableAcrossThreadCounts) {
       EXPECT_EQ(c, serial.stats.event_checksum) << threads << " threads";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden checksums: the committed event stream of every registered
+// workload under every scenario family, pinned as literals.  Any change to
+// the engine, the workloads, the scenario decorators or the cost model
+// that moves one committed event fails here.  Regenerate only for an
+// intended change of simulated behaviour: the failure message prints the
+// replacement row.
+// ---------------------------------------------------------------------------
+
+struct GoldenRow {
+  const char* workload;
+  const char* scenario;
+  std::uint64_t checksum;
+  std::uint64_t events;
+};
+
+// 4 nodes, size_scale 0.05, 10GbE TX1 (one rank per node for GPU
+// workloads, two otherwise).
+constexpr GoldenRow kGolden[] = {
+    {"hpl", "none", 0x0836be82b2ab38c7ULL, 688ULL},
+    {"hpl", "fault", 0xdba14e40e3e1fc84ULL, 689ULL},
+    {"hpl", "noise", 0xdaada527be5318eeULL, 1350ULL},
+    {"hpl", "checkpoint", 0x97e1a7ca1d878088ULL, 768ULL},
+    {"jacobi", "none", 0x31f713be717e461dULL, 39244ULL},
+    {"jacobi", "fault", 0x539d1088573bb302ULL, 39245ULL},
+    {"jacobi", "noise", 0xe8e8b372ba8b74c3ULL, 48958ULL},
+    {"jacobi", "checkpoint", 0x6ebf36e06d75dea9ULL, 39268ULL},
+    {"cloverleaf", "none", 0x4e94c096e30c16d4ULL, 56204ULL},
+    {"cloverleaf", "fault", 0xc67a25f2b3700c6fULL, 56205ULL},
+    {"cloverleaf", "noise", 0x812fde4ca95b1c4bULL, 83516ULL},
+    {"cloverleaf", "checkpoint", 0x63a1a5fe8b863ee7ULL, 56300ULL},
+    {"tealeaf2d", "none", 0xe4e2ac6b188b9dcaULL, 153844ULL},
+    {"tealeaf2d", "fault", 0x4afee82c368f140eULL, 153846ULL},
+    {"tealeaf2d", "noise", 0xd445ddb851ff1a40ULL, 175551ULL},
+    {"tealeaf2d", "checkpoint", 0x4cc253a30e9527d9ULL, 153884ULL},
+    {"tealeaf3d", "none", 0x82afa2a9f8139ffeULL, 153844ULL},
+    {"tealeaf3d", "fault", 0xf0c1bd94f80f51dfULL, 153846ULL},
+    {"tealeaf3d", "noise", 0xce943771559e4fcdULL, 182439ULL},
+    {"tealeaf3d", "checkpoint", 0xee62cbad0a9e8cc4ULL, 153900ULL},
+    {"alexnet", "none", 0xb7a34e53ebf3fbc9ULL, 384ULL},
+    {"alexnet", "fault", 0xa712ecd84cd418aeULL, 385ULL},
+    {"alexnet", "noise", 0x5c6bf81edb1a6571ULL, 772ULL},
+    {"alexnet", "checkpoint", 0x951c06dd3f8b84d5ULL, 388ULL},
+    {"googlenet", "none", 0x17f3c98b6d8da061ULL, 1184ULL},
+    {"googlenet", "fault", 0x4e59f3f515b58090ULL, 1185ULL},
+    {"googlenet", "noise", 0x869f532dae8a6d7bULL, 1819ULL},
+    {"googlenet", "checkpoint", 0x74fa67dd05d06ebdULL, 1188ULL},
+    {"bt", "none", 0x320fb4269f011ea8ULL, 11416ULL},
+    {"bt", "fault", 0x7e1523a306f61ca3ULL, 11418ULL},
+    {"bt", "noise", 0xe66c5926c065b9b3ULL, 15402ULL},
+    {"bt", "checkpoint", 0x519ce2e59d482b60ULL, 11512ULL},
+    {"cg", "none", 0xfb7f319413a1574cULL, 286560ULL},
+    {"cg", "fault", 0x8c9589c1b4555630ULL, 286563ULL},
+    {"cg", "noise", 0xccc5c3022314faedULL, 323348ULL},
+    {"cg", "checkpoint", 0x25d060ca8e1ad4dcULL, 286648ULL},
+    {"ep", "none", 0x8a327551969be9ccULL, 200ULL},
+    {"ep", "fault", 0x3967f5d0066a9513ULL, 202ULL},
+    {"ep", "noise", 0xbadfc2cd5c0fbedbULL, 370ULL},
+    {"ep", "checkpoint", 0xa65da805ba3ee344ULL, 328ULL},
+    {"ft", "none", 0x39f06e0231363960ULL, 2472ULL},
+    {"ft", "fault", 0x3f5ee32935627ea6ULL, 2474ULL},
+    {"ft", "noise", 0xbe69f3927932f762ULL, 5079ULL},
+    {"ft", "checkpoint", 0xb6d46244ad2a360bULL, 2616ULL},
+    {"is", "none", 0xcf5f72181d7b8b0fULL, 1264ULL},
+    {"is", "fault", 0x86efd6cd3586f7e4ULL, 1266ULL},
+    {"is", "noise", 0x738955ddabd04f2dULL, 2296ULL},
+    {"is", "checkpoint", 0x00c817d92698fe76ULL, 1296ULL},
+    {"lu", "none", 0x7abb49f965cae62bULL, 15256ULL},
+    {"lu", "fault", 0x64ddee382177958dULL, 15258ULL},
+    {"lu", "noise", 0x23b72eaebf30066dULL, 28034ULL},
+    {"lu", "checkpoint", 0x5d5ffc231e3176eeULL, 15448ULL},
+    {"mg", "none", 0xeb6523a0c7e747f1ULL, 11144ULL},
+    {"mg", "fault", 0x5399e3aeed88e5a4ULL, 11146ULL},
+    {"mg", "noise", 0x7bcf593028d7951dULL, 13009ULL},
+    {"mg", "checkpoint", 0x9bcb53ff90887199ULL, 11200ULL},
+    {"sp", "none", 0x578e34f61cb72edbULL, 22776ULL},
+    {"sp", "fault", 0xafa3c2df52ef5f1cULL, 22778ULL},
+    {"sp", "noise", 0x5cce8f72034734fcULL, 29686ULL},
+    {"sp", "checkpoint", 0x219eb1fc093bd0d0ULL, 22880ULL},
+};
+
+workloads::ScenarioConfig golden_scenario(const std::string& name) {
+  if (name == "fault") {
+    return workloads::parse_scenario(
+        "straggler:rank=1,slowdown=2.5;node-crash:node=2,t=0.002,down=0.003;"
+        "link-flap:node=3,t0=0.001,t1=0.004",
+        "", "");
+  }
+  if (name == "noise") {
+    return workloads::parse_scenario(
+        "", "interval=0.003,duration=0.0005,seed=7,jitter=0.25", "");
+  }
+  if (name == "checkpoint") {
+    return workloads::parse_scenario("", "", "daly:size=1e8,bw=5e9,mtti=30");
+  }
+  return {};
+}
+
+TEST(Determinism, GoldenChecksumsAllWorkloadsAndScenarios) {
+  constexpr int kNodes = 4;
+  const char* const scenarios[] = {"none", "fault", "noise", "checkpoint"};
+  std::size_t row = 0;
+  for (const std::string& name : workloads::list()) {
+    for (const char* scenario : scenarios) {
+      const auto w = workloads::make_workload(name);
+      cluster::RunRequest request;
+      request.workload = name;
+      request.workload_ref = w.get();
+      request.config = cluster::ClusterConfig{
+          systems::jetson_tx1(net::NicKind::kTenGigabit), kNodes,
+          w->gpu_accelerated() ? kNodes : 2 * kNodes};
+      request.options = quick();
+      request.scenario = golden_scenario(scenario);
+      const auto r = cluster::run(request);
+      char expected[160];
+      std::snprintf(expected, sizeof expected,
+                    "{\"%s\", \"%s\", 0x%016llxULL, %lluULL},",
+                    name.c_str(), scenario,
+                    static_cast<unsigned long long>(r.stats.event_checksum),
+                    static_cast<unsigned long long>(r.stats.events_committed));
+      ASSERT_LT(row, std::size(kGolden)) << "missing row " << expected;
+      const GoldenRow& g = kGolden[row++];
+      EXPECT_EQ(name, g.workload) << expected;
+      EXPECT_STREQ(scenario, g.scenario) << expected;
+      EXPECT_EQ(r.stats.event_checksum, g.checksum) << expected;
+      EXPECT_EQ(r.stats.events_committed, g.events) << expected;
+    }
+  }
+  EXPECT_EQ(row, std::size(kGolden));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 // scenarios, accounting, determinism, failure modes).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
@@ -414,6 +416,22 @@ TEST(Engine, ProgramCountMismatchThrows) {
   Engine engine(Placement::block(2, 2), cost);
   std::vector<Program> programs(1);
   EXPECT_THROW(engine.run(programs), Error);
+}
+
+// The engine is serial: a multi-shard config is refused with a message
+// rather than silently run on one queue.
+TEST(Engine, RefusesShardCountOtherThanOne) {
+  FixedCostModel cost;
+  EngineConfig config;
+  config.shards = 4;
+  try {
+    Engine engine(Placement::block(4, 4), cost, config);
+    FAIL() << "expected the engine to refuse shards = 4";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("shards must be 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Engine, MultipleMessagesSameTagFifoOrder) {

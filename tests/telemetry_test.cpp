@@ -1,21 +1,16 @@
-// Engine self-telemetry (ISSUE 10): the wall-clock shard profiler and
-// the zero-residual scaling-loss attribution.
+// Engine self-telemetry: deterministic work counters of the serial
+// engine.
 //
-// Three contracts under test:
+// Two contracts under test:
 //
-//  1. The deterministic counter document (obs::engine_counters_json) is
-//     byte-identical at any shard count and any thread count, for every
-//     registered workload and every scenario decorator family — the
-//     same invariance matrix the sharded engine itself is held to.
+//  1. The counter document (obs::engine_counters_json) is fixed by the
+//     simulation's control flow: repeated runs render byte-identical
+//     documents for every registered workload and every scenario
+//     decorator family, and the counters agree with the run's stats.
 //
 //  2. Telemetry is an invisible attachment: an instrumented run commits
-//     the identical event stream, and with no telemetry attached the
-//     perf harness's timed numbers (allocations per event, throughput)
-//     are unchanged by the feature existing at all.
-//
-//  3. prof::explain_scaling partitions the serial-vs-sharded
-//     core-seconds gap with zero residual — the four loss terms sum to
-//     the measured gap exactly, on every fig5/fig6 perf configuration.
+//     the identical event stream, and the perf harness (which never
+//     attaches it) reports the same streams.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -27,7 +22,6 @@
 #include "cluster/perf.h"
 #include "net/network.h"
 #include "obs/engine_telemetry.h"
-#include "prof/selfprof.h"
 #include "sim/telemetry.h"
 #include "systems/machines.h"
 #include "workloads/scenario.h"
@@ -46,8 +40,7 @@ int ranks_for(const workloads::Workload& w) {
 /// One telemetry-attached run; returns the metered result and fills
 /// `telemetry` through the RunRequest sink.
 cluster::RunResult run_with_telemetry(
-    const std::string& name, int shards, int threads,
-    const workloads::ScenarioConfig& scenario,
+    const std::string& name, const workloads::ScenarioConfig& scenario,
     sim::EngineTelemetry* telemetry) {
   const auto w = workloads::make_workload(name);
   const auto node = systems::jetson_tx1(net::NicKind::kTenGigabit);
@@ -56,8 +49,6 @@ cluster::RunResult run_with_telemetry(
   request.workload_ref = w.get();
   request.config = cluster::ClusterConfig{node, kNodes, ranks_for(*w)};
   request.options.size_scale = kScale;
-  request.options.engine.shards = shards;
-  request.options.engine.threads = threads;
   request.scenario = scenario;
   request.engine_telemetry = telemetry;
   return cluster::run(request);
@@ -68,7 +59,7 @@ struct NamedScenario {
   workloads::ScenarioConfig config;
 };
 
-/// One representative per decorator family (mirrors shard_test.cpp).
+/// One representative per decorator family.
 std::vector<NamedScenario> scenario_axis() {
   std::vector<NamedScenario> axis;
   axis.push_back({"none", {}});
@@ -89,212 +80,120 @@ std::vector<NamedScenario> scenario_axis() {
 }
 
 // Contract 1: the counter document is fixed by the simulation's control
-// flow alone.  Shards {1, 2, 4, 8} and worker threads {1, 2} must all
-// render the identical bytes, for every workload x scenario family.
-TEST(Telemetry, CounterDocByteIdenticalAcrossShardsAndThreads) {
+// flow alone: two runs of every workload x scenario family render the
+// identical bytes.
+TEST(Telemetry, CounterDocByteIdenticalAcrossRuns) {
   const auto scenarios = scenario_axis();
   for (const std::string& name : workloads::list()) {
     for (const NamedScenario& s : scenarios) {
-      sim::EngineTelemetry serial_tel;
-      const auto serial = run_with_telemetry(name, 1, 0, s.config,
-                                             &serial_tel);
-      ASSERT_GT(serial.stats.events_committed, 0u) << name;
-      const std::string reference = obs::engine_counters_json(serial_tel);
-      struct Combo {
-        int shards;
-        int threads;
-      };
-      for (const Combo c :
-           {Combo{2, 0}, Combo{4, 1}, Combo{4, 2}, Combo{8, 0}}) {
-        sim::EngineTelemetry tel;
-        const auto sharded =
-            run_with_telemetry(name, c.shards, c.threads, s.config, &tel);
-        EXPECT_EQ(sharded.stats.event_checksum, serial.stats.event_checksum)
-            << name << " scenario=" << s.name << " shards=" << c.shards
-            << " threads=" << c.threads;
-        EXPECT_EQ(obs::engine_counters_json(tel), reference)
-            << name << " scenario=" << s.name << " shards=" << c.shards
-            << " threads=" << c.threads;
-      }
+      sim::EngineTelemetry first;
+      const auto a = run_with_telemetry(name, s.config, &first);
+      ASSERT_GT(a.stats.events_committed, 0u) << name;
+      sim::EngineTelemetry second;
+      const auto b = run_with_telemetry(name, s.config, &second);
+      EXPECT_EQ(b.stats.event_checksum, a.stats.event_checksum)
+          << name << " scenario=" << s.name;
+      EXPECT_EQ(obs::engine_counters_json(second),
+                obs::engine_counters_json(first))
+          << name << " scenario=" << s.name;
     }
   }
 }
 
 // The telemetry struct itself must be coherent: totals match RunStats,
-// per-shard counters sum to the aggregate, the full artifact and the
-// wall-clock trace render, and no spans were silently dropped.
+// every queued event (a wake or a protocol message) is processed exactly
+// once, and both artifacts render.
 TEST(Telemetry, StructureMatchesRunAndArtifactsRender) {
   sim::EngineTelemetry tel;
-  // The default per-lane span cap (1 << 14) is sized for bounded trace
-  // artifacts, not for holding every window of a long run; raise it so
-  // this run records everything and the zero-drop check is meaningful.
-  // (reset() deliberately preserves the knob across runs.)
-  tel.max_spans_per_lane = std::size_t{1} << 20;
-  const auto result = run_with_telemetry("jacobi", 4, 0, {}, &tel);
+  const auto result = run_with_telemetry("jacobi", {}, &tel);
 
   EXPECT_EQ(tel.events_committed, result.stats.events_committed);
-  EXPECT_EQ(tel.shards, 4);
-  EXPECT_TRUE(tel.windowed);
-  EXPECT_GT(tel.windows, 0u);
-  EXPECT_GT(tel.lookahead, 0);
-  EXPECT_GT(tel.wall_total_ns, 0u);
-  EXPECT_GE(tel.step_wall_ns, tel.busy_max_ns);
-  EXPECT_GE(tel.busy_sum_ns, tel.busy_max_ns);
-  EXPECT_EQ(tel.spans_dropped, 0u);
-  EXPECT_FALSE(tel.spans.empty());
-  ASSERT_EQ(tel.shard.size(), 4u);
+  EXPECT_GT(tel.commit_records, 0u);
+  ASSERT_EQ(tel.shard.size(), 1u);
+  const sim::ShardCounters& c = tel.shard.front();
+  EXPECT_GT(c.events_processed, 0u);
+  EXPECT_GT(c.protos_arrival + c.protos_rts + c.protos_cts, 0u);
+  EXPECT_EQ(c.events_processed,
+            c.wakes + c.protos_arrival + c.protos_rts + c.protos_cts);
+  EXPECT_GT(c.queue_high_water, 0u);
 
-  std::uint64_t events = 0;
-  std::uint64_t windows_stepped = 0;
-  for (const sim::ShardCounters& c : tel.shard) {
-    events += c.events_processed;
-    windows_stepped += c.windows_stepped;
-    ASSERT_EQ(c.mailbox_sent.size(), 4u);
-    std::uint64_t routed = 0;
-    for (const std::uint64_t n : c.mailbox_sent) routed += n;
-    EXPECT_EQ(routed, c.cross_shard_sent);
-    EXPECT_EQ(c.mailbox_sent[static_cast<std::size_t>(
-                  &c - tel.shard.data())],
-              0u);
-  }
-  EXPECT_GT(events, 0u);
-  // Every shard steps every window, no matter who owns the worker.
-  EXPECT_EQ(windows_stepped, 4u * tel.windows);
+  const std::string counters = obs::engine_counters_json(tel);
+  EXPECT_NE(counters.find("soccluster-engine-telemetry-counters/v1"),
+            std::string::npos);
+  EXPECT_EQ(counters.back(), '\n');
 
   const std::string full = obs::engine_telemetry_json(tel);
   EXPECT_NE(full.find("soccluster-engine-telemetry/v1"), std::string::npos);
   EXPECT_NE(full.find("\"counters\""), std::string::npos);
-  EXPECT_NE(full.find("\"sharding\""), std::string::npos);
-  EXPECT_NE(full.find("\"timing\""), std::string::npos);
+  EXPECT_NE(full.find("\"queue_high_water\":" +
+                      std::to_string(c.queue_high_water)),
+            std::string::npos);
   EXPECT_EQ(full.back(), '\n');
 
-  const std::string trace = obs::engine_wallclock_trace_json(tel);
-  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace.find("coordinator"), std::string::npos);
-  EXPECT_NE(trace.find("\"step\""), std::string::npos);
-  EXPECT_EQ(trace.back(), '\n');
-
-  // A serial run fills only the run shape and the wall clock.
-  sim::EngineTelemetry serial_tel;
-  (void)run_with_telemetry("jacobi", 1, 0, {}, &serial_tel);
-  EXPECT_FALSE(serial_tel.windowed);
-  EXPECT_EQ(serial_tel.shards, 1);
-  EXPECT_GT(serial_tel.wall_total_ns, 0u);
-
-  // A cap smaller than the run truncates per lane and counts every
-  // dropped span — bounded artifacts, never silent truncation.
-  sim::EngineTelemetry capped;
-  capped.max_spans_per_lane = 16;
-  (void)run_with_telemetry("jacobi", 4, 0, {}, &capped);
-  EXPECT_GT(capped.spans_dropped, 0u);
-  EXPECT_LE(capped.spans.size(),
-            16u * (1u + static_cast<unsigned>(
-                            capped.worker_busy_ns.size())));
+  // reset() (run() calls it) leaves nothing of the previous run behind.
+  tel.reset();
+  EXPECT_EQ(tel.events_committed, 0u);
+  EXPECT_TRUE(tel.shard.empty());
 }
 
 // Contract 2a: attaching telemetry never changes the committed stream.
 TEST(Telemetry, AttachmentLeavesCommittedStreamUntouched) {
-  for (const int shards : {1, 4}) {
-    sim::EngineTelemetry tel;
-    const auto with = run_with_telemetry("cg", shards, 0, {}, &tel);
-    const auto without = run_with_telemetry("cg", shards, 0, {}, nullptr);
-    EXPECT_EQ(with.stats.event_checksum, without.stats.event_checksum)
-        << "shards=" << shards;
-    EXPECT_EQ(with.stats.events_committed, without.stats.events_committed)
-        << "shards=" << shards;
-    EXPECT_EQ(with.stats.makespan, without.stats.makespan)
-        << "shards=" << shards;
-  }
+  sim::EngineTelemetry tel;
+  const auto with = run_with_telemetry("cg", {}, &tel);
+  const auto without = run_with_telemetry("cg", {}, nullptr);
+  EXPECT_EQ(with.stats.event_checksum, without.stats.event_checksum);
+  EXPECT_EQ(with.stats.events_committed, without.stats.events_committed);
+  EXPECT_EQ(with.stats.makespan, without.stats.makespan);
 }
 
-// Contract 2b: with telemetry detached, the perf harness's timed region
-// is untouched by the feature.  The explain-scaling rep runs outside the
-// timed loop, so the timed reps of both reports execute the identical
-// detached code path: allocations per event must agree exactly (the
-// allocation stream is deterministic) and throughput must sit within a
-// generous noise band of the plain run's.
+// Contract 2b: the perf harness times detached runs.  Two reports agree
+// exactly on everything but wall-clock (the detached path's allocation
+// stream is deterministic), and record the host they ran on.
 TEST(Telemetry, DetachedPerfRunStaysZeroOverhead) {
   const auto cases = cluster::default_perf_cases(/*quick=*/true);
-  cluster::PerfConfig plain;
-  plain.reps = 2;
-  cluster::PerfConfig instrumented;
-  instrumented.reps = 2;
-  instrumented.explain_scaling = true;
-
-  const auto base = cluster::measure_engine(cases, plain);
-  const auto scaled = cluster::measure_engine(cases, instrumented);
-  ASSERT_EQ(base.samples.size(), scaled.samples.size());
-  for (std::size_t i = 0; i < base.samples.size(); ++i) {
-    const cluster::PerfSample& b = base.samples[i];
-    const cluster::PerfSample& s = scaled.samples[i];
-    EXPECT_EQ(b.checksum, s.checksum) << b.name;
-    EXPECT_EQ(b.events, s.events) << b.name;
-    EXPECT_DOUBLE_EQ(b.allocs_per_event, s.allocs_per_event) << b.name;
-    ASSERT_GT(b.events_per_second, 0.0) << b.name;
-    const double ratio = s.events_per_second / b.events_per_second;
-    EXPECT_GT(ratio, 0.25) << b.name;
-    EXPECT_LT(ratio, 4.0) << b.name;
-  }
-}
-
-// Contract 3: the decomposition closes with zero residual on every
-// fig5/fig6 configuration (explain_scaling itself asserts the identity
-// and the sign invariants; the expectations here re-state them so a
-// failure reads as a test diff, not an engine abort).
-TEST(Telemetry, ZeroResidualOnEveryFigConfig) {
   cluster::PerfConfig config;
-  config.reps = 1;
-  config.explain_scaling = true;
-  const auto report =
-      cluster::measure_engine(cluster::default_perf_cases(/*quick=*/false),
-                              config);
-  int decomposed = 0;
-  for (const cluster::PerfSample& s : report.samples) {
-    if (s.baseline.empty()) continue;
-    ASSERT_TRUE(s.has_scaling) << s.name;
-    const prof::ScalingDecomposition& d = s.scaling;
-    ++decomposed;
-    EXPECT_GT(d.serial_wall_ns, 0) << s.name;
-    EXPECT_GT(d.sharded_wall_ns, 0) << s.name;
-    EXPECT_GE(d.imbalance_ns, 0) << s.name;
-    EXPECT_GE(d.barrier_ns, 0) << s.name;
-    EXPECT_GE(d.mailbox_merge_ns, 0) << s.name;
-    EXPECT_EQ(d.imbalance_ns + d.barrier_ns + d.mailbox_merge_ns +
-                  d.serial_residual_ns,
-              d.core_gap_ns)
-        << s.name;
-    const std::string json = prof::scaling_json(d);
-    EXPECT_NE(json.find("\"serial_residual_ns\""), std::string::npos);
+  config.reps = 2;
+  const auto first = cluster::measure_engine(cases, config);
+  const auto second = cluster::measure_engine(cases, config);
+  EXPECT_GT(first.host_cores, 0u);
+  ASSERT_EQ(first.samples.size(), second.samples.size());
+  for (std::size_t i = 0; i < first.samples.size(); ++i) {
+    const cluster::PerfSample& a = first.samples[i];
+    const cluster::PerfSample& b = second.samples[i];
+    EXPECT_EQ(a.checksum, b.checksum) << a.name;
+    EXPECT_EQ(a.events, b.events) << a.name;
+    EXPECT_DOUBLE_EQ(a.allocs_per_event, b.allocs_per_event) << a.name;
+    EXPECT_GT(a.events_per_second, 0.0) << a.name;
   }
-  // One sharded row per fig5/fig6 workload (5 + 8).
-  EXPECT_EQ(decomposed, 13);
 }
 
-// The speedup gate of diff_perf_baseline (satellite): a baseline whose
-// sharded row recorded a higher speedup than the fresh report must fail
-// the speedup tolerance, and pass once the tolerance absorbs the drop.
-TEST(Telemetry, BaselineDiffGatesSpeedup) {
+// The baseline gate of diff_perf_baseline: a changed event stream always
+// fails; throughput fails only below the tolerance.
+TEST(Telemetry, BaselineDiffGatesChecksumAndThroughput) {
   cluster::PerfReport report;
-  cluster::PerfSample serial;
-  serial.name = "fig5/x";
-  serial.events = 100;
-  serial.checksum = 7;
-  serial.events_per_second = 1000.0;
-  cluster::PerfSample sharded = serial;
-  sharded.name = "fig5/x/4shards";
-  sharded.baseline = "fig5/x";
-  sharded.events_per_second = 1500.0;
-  sharded.speedup_vs_baseline = 1.5;
-  report.samples = {serial, sharded};
+  cluster::PerfSample sample;
+  sample.name = "fig5/x";
+  sample.events = 100;
+  sample.checksum = 7;
+  sample.events_per_second = 1000.0;
+  report.samples = {sample};
 
   std::vector<cluster::PerfSample> baseline = report.samples;
-  baseline[1].speedup_vs_baseline = 3.0;  // The committed run scaled 2x better.
-  const std::string strict =
-      cluster::diff_perf_baseline(report, baseline, 0.01, 0.9);
-  EXPECT_NE(strict.find("speedup regressed"), std::string::npos) << strict;
-  const std::string loose =
-      cluster::diff_perf_baseline(report, baseline, 0.01, 0.4);
-  EXPECT_EQ(loose, "");
+  EXPECT_EQ(cluster::diff_perf_baseline(report, baseline, 0.9), "");
+
+  baseline[0].events_per_second = 2000.0;  // The committed run was faster.
+  const std::string slow = cluster::diff_perf_baseline(report, baseline, 0.9);
+  EXPECT_NE(slow.find("throughput regressed"), std::string::npos) << slow;
+  EXPECT_EQ(cluster::diff_perf_baseline(report, baseline, 0.4), "");
+
+  baseline[0].checksum = 8;
+  const std::string moved = cluster::diff_perf_baseline(report, baseline, 0.4);
+  EXPECT_NE(moved.find("committed stream changed"), std::string::npos)
+      << moved;
+
+  baseline[0].name = "fig6/y";
+  const std::string none = cluster::diff_perf_baseline(report, baseline, 0.4);
+  EXPECT_NE(none.find("no case names in common"), std::string::npos) << none;
 }
 
 }  // namespace

@@ -18,11 +18,9 @@
 //       trace, --report-json a canonical machine-readable run report.
 //       Engine self-telemetry on demand: --engine-telemetry writes the
 //       full soccluster-engine-telemetry/v1 artifact (deterministic
-//       counters + per-shard detail + wall-clock timings),
-//       --engine-counters just its byte-comparable counter section, and
-//       --engine-trace a Chrome trace of the engine's own wall-clock
-//       execution (coordinator + worker lanes).  replay takes the same
-//       three flags.
+//       counters + queue high-water mark), --engine-counters just its
+//       byte-comparable counter section.  replay takes the same two
+//       flags.
 //   socbench sweep --workload hpl --nodes 2,4,8,16 --nic both
 //                  [--sweep-threads N] [--progress] [--report-json s.json]
 //       Cluster-size sweep, one row per (size, NIC).  `--workload all`
@@ -65,17 +63,16 @@
 //       and under parallel_for; all event checksums must be bit-identical.
 //       `--workload all` audits every registered workload.
 //   socbench perf [--quick] [--reps 5] [--report-json BENCH_engine.json]
-//                 [--explain-scaling] [--baseline BENCH_engine.json]
+//                 [--baseline BENCH_engine.json]
 //       Engine-only replay throughput over the fig5/fig6 shapes:
 //       events/sec, allocations per event, cost-model cache hit rate, and
 //       one stable `checksum config=... events=... value=...` line per
 //       case (CI diffs these between -O2 and sanitizer builds).
-//       --explain-scaling adds one telemetry-attached repetition per case
-//       (outside the timed region) and decomposes each sharded row's
-//       serial-vs-sharded core-seconds gap into imbalance / barrier /
-//       mailbox+merge / serial-residual terms that sum to the measured
-//       gap exactly.  --baseline additionally gates sharded rows'
-//       speedup_vs_baseline at --speedup-tolerance.
+//       --baseline gates exact checksums and tolerant events/s against a
+//       committed report.
+//
+// Malformed command lines (unknown flag, missing value, bad number) print
+// the message plus usage and exit 2; simulation failures exit 1.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -99,7 +96,6 @@
 #include "prof/critical_path.h"
 #include "prof/energy.h"
 #include "prof/profile.h"
-#include "prof/selfprof.h"
 #include "sim/memo_cost.h"
 #include "sim/telemetry.h"
 #include "sweep/frontier.h"
@@ -184,43 +180,21 @@ int cmd_list() {
   return 0;
 }
 
-/// Parallel-engine knobs shared by run and replay: --engine-threads N
-/// shards the event queues across N workers (committed stream stays
-/// bit-identical to serial); --engine-shards overrides the partition
-/// count independently of the worker count.
-sim::EngineConfig engine_from(const ArgParser& args) {
-  sim::EngineConfig engine;
-  if (args.given("--engine-threads")) {
-    const int t = args.get_int("--engine-threads");
-    SOC_CHECK(t >= 1, "--engine-threads must be >= 1");
-    engine.threads = t;
-    engine.shards = t;
-  }
-  if (args.given("--engine-shards")) {
-    const int s = args.get_int("--engine-shards");
-    SOC_CHECK(s >= 1, "--engine-shards must be >= 1");
-    engine.shards = s;
-  }
-  return engine;
-}
-
 cluster::RunOptions options_from(const ArgParser& args) {
   cluster::RunOptions options;
   options.size_scale = args.get_double("--scale");
   options.mem_model = parse_mem_model(args.get("--mem-model"));
   options.gpu_work_fraction = args.get_double("--gpu-fraction");
-  options.engine = engine_from(args);
   return options;
 }
 
-/// True when any --engine-telemetry / --engine-counters / --engine-trace
-/// flag asks for the engine's self-telemetry (run and replay).
+/// True when --engine-telemetry or --engine-counters asks for the
+/// engine's self-telemetry (run and replay).
 bool want_engine_telemetry(const ArgParser& args) {
-  return args.given("--engine-telemetry") || args.given("--engine-counters") ||
-         args.given("--engine-trace");
+  return args.given("--engine-telemetry") || args.given("--engine-counters");
 }
 
-/// Writes whichever of the three self-telemetry artifacts the flags name.
+/// Writes whichever of the two self-telemetry artifacts the flags name.
 void write_engine_telemetry(const ArgParser& args,
                             const sim::EngineTelemetry& telemetry) {
   if (args.given("--engine-telemetry")) {
@@ -234,12 +208,6 @@ void write_engine_telemetry(const ArgParser& args,
                      obs::engine_counters_json(telemetry));
     std::printf("wrote engine counters to %s\n",
                 args.get("--engine-counters").c_str());
-  }
-  if (args.given("--engine-trace")) {
-    prof::write_text(args.get("--engine-trace"),
-                     obs::engine_wallclock_trace_json(telemetry));
-    std::printf("wrote engine wall-clock trace to %s\n",
-                args.get("--engine-trace").c_str());
   }
 }
 
@@ -728,10 +696,10 @@ int cmd_replay(const ArgParser& args) {
                                      ->cpu_profile());
   sim::Scenario scenario;
   scenario.ideal_network = args.get_bool("--ideal-network");
-  sim::EngineConfig engine_config = engine_from(args);
+  sim::EngineConfig engine_config;
   sim::EngineTelemetry telemetry;
   if (want_engine_telemetry(args)) engine_config.telemetry = &telemetry;
-  const sim::MemoCostModel memo(cost, /*thread_safe=*/engine_config.shards > 1);
+  const sim::MemoCostModel memo(cost);
   sim::Engine engine(sim::Placement::block(ranks, nodes), memo,
                      engine_config, scenario);
   const sim::RunStats stats = engine.run(programs);
@@ -751,20 +719,16 @@ int cmd_perf(const ArgParser& args) {
   cluster::PerfConfig config;
   config.reps = args.given("--reps") ? args.get_int("--reps")
                                      : (quick ? 2 : 5);
-  config.explain_scaling = args.get_bool("--explain-scaling");
   const auto cases = cluster::default_perf_cases(quick);
   const auto report = cluster::measure_engine(cases, config);
 
-  TextTable table({"config", "shards", "events", "events/sec", "speedup",
-                   "allocs/event", "memo hit%", "wall s"});
+  TextTable table({"config", "events", "events/sec", "allocs/event",
+                   "memo hit%", "wall s"});
   for (const auto& s : report.samples) {
     const double evals = static_cast<double>(s.memo_hits + s.memo_misses);
     table.add_row(
-        {s.name, TextTable::num(s.shards, 0),
-         TextTable::num(static_cast<double>(s.events), 0),
+        {s.name, TextTable::num(static_cast<double>(s.events), 0),
          TextTable::eng(s.events_per_second),
-         s.baseline.empty() ? "-"
-                            : TextTable::num(s.speedup_vs_baseline, 2) + "x",
          TextTable::num(s.allocs_per_event, 4),
          TextTable::num(
              evals > 0.0 ? 100.0 * static_cast<double>(s.memo_hits) / evals
@@ -780,40 +744,11 @@ int cmd_perf(const ArgParser& args) {
                 static_cast<unsigned long long>(s.events),
                 cluster::checksum_hex(s.checksum).c_str());
   }
-  std::printf("\nTOTAL events/sec = %.4e (events=%.0f wall=%.3fs)%s\n",
+  std::printf("\nTOTAL events/sec = %.4e (events=%.0f wall=%.3fs, %u host "
+              "cores)%s\n",
               report.events_per_second, report.total_events,
-              report.total_wall_seconds,
+              report.total_wall_seconds, report.host_cores,
               report.alloc_counter_live ? "" : " [alloc counter not linked]");
-  if (config.explain_scaling) {
-    // Where each sharded row's core-seconds went.  The four terms sum to
-    // the measured serial-vs-sharded gap exactly (prof::explain_scaling
-    // asserts the zero-residual identity), so the shares explain 100% of
-    // the scaling loss — or, for a negative gap, the superlinear win.
-    TextTable st({"config", "workers", "speedup", "gap (core-ms)",
-                  "imbalance", "barrier", "mailbox+merge", "residual"});
-    const auto share = [](std::int64_t term, std::int64_t gap) {
-      if (gap == 0) return std::string("-");
-      if (term == 0) return std::string("0.0%");
-      return TextTable::num(100.0 * static_cast<double>(term) /
-                                static_cast<double>(gap),
-                            1) +
-             "%";
-    };
-    for (const auto& s : report.samples) {
-      if (!s.has_scaling) continue;
-      const auto& d = s.scaling;
-      st.add_row({s.name, TextTable::num(d.workers, 0),
-                  TextTable::num(d.speedup, 2) + "x",
-                  TextTable::num(static_cast<double>(d.core_gap_ns) / 1e6, 2),
-                  share(d.imbalance_ns, d.core_gap_ns),
-                  share(d.barrier_ns, d.core_gap_ns),
-                  share(d.mailbox_merge_ns, d.core_gap_ns),
-                  share(d.serial_residual_ns, d.core_gap_ns)});
-    }
-    std::printf("\nscaling-loss attribution (zero residual by construction)\n"
-                "\n%s",
-                st.str().c_str());
-  }
   if (args.given("--report-json")) {
     cluster::write_perf_report(args.get("--report-json"), report);
     std::printf("wrote %s\n", args.get("--report-json").c_str());
@@ -829,17 +764,15 @@ int cmd_perf(const ArgParser& args) {
   }
   if (args.given("--baseline")) {
     const double tolerance = args.get_double("--baseline-tolerance");
-    const double speedup_tolerance = args.get_double("--speedup-tolerance");
     const auto baseline = cluster::load_perf_baseline(args.get("--baseline"));
-    const std::string failures = cluster::diff_perf_baseline(
-        report, baseline, tolerance, speedup_tolerance);
+    const std::string failures =
+        cluster::diff_perf_baseline(report, baseline, tolerance);
     if (!failures.empty()) {
       std::fprintf(stderr, "%s", failures.c_str());
       return 1;
     }
-    std::printf("baseline check passed vs %s (tolerance %.2f, speedup "
-                "tolerance %.2f)\n",
-                args.get("--baseline").c_str(), tolerance, speedup_tolerance);
+    std::printf("baseline check passed vs %s (tolerance %.2f)\n",
+                args.get("--baseline").c_str(), tolerance);
   }
   return 0;
 }
@@ -859,9 +792,8 @@ int usage(const ArgParser& args) {
       "  run        one metered run (add --metrics, --chrome-trace,\n"
       "             --report-json for observability artifacts;\n"
       "             --audit-determinism for a replay audit;\n"
-      "             --engine-threads N for the sharded parallel engine;\n"
-      "             --engine-telemetry/--engine-counters/--engine-trace\n"
-      "             for the engine's self-telemetry artifacts)\n"
+      "             --engine-telemetry/--engine-counters for the engine's\n"
+      "             self-telemetry artifacts)\n"
       "  sweep      cluster-size sweep, one row per (size, NIC); shards\n"
       "             across host threads (--sweep-threads);\n"
       "             --energy-roofline writes the GFLOPS/W artifact\n"
@@ -875,8 +807,7 @@ int usage(const ArgParser& args) {
       "  trace      record generated per-rank programs to a .soctrace file\n"
       "  replay     replay a recorded trace (what-if scenarios supported)\n"
       "  perf       engine-only replay throughput + BENCH_engine.json\n"
-      "             (--quick for the CI smoke subset; --explain-scaling\n"
-      "             for the zero-residual scaling-loss attribution)\n"
+      "             (--quick for the CI smoke subset)\n"
       "\nscenarios (run/sweep/explain/decompose): --fault injects\n"
       "deterministic node crashes, link flaps, and stragglers; --noise adds\n"
       "seeded per-rank OS jitter; --checkpoint daly:... inserts\n"
@@ -914,21 +845,12 @@ int main(int argc, char** argv) {
                 "run: verify replays are bit-identical instead of reporting");
   args.add_flag("--repeats", "replays per audit mode (audit-determinism)",
                 "4");
-  args.add_flag("--engine-threads",
-                "run/replay: worker threads for the sharded parallel engine "
-                "(committed stream is bit-identical to serial)");
-  args.add_flag("--engine-shards",
-                "run/replay: event-queue shard count (defaults to "
-                "--engine-threads)");
   args.add_flag("--engine-telemetry",
                 "run/replay: write the soccluster-engine-telemetry/v1 "
                 "self-telemetry artifact here");
   args.add_flag("--engine-counters",
                 "run/replay: write just the deterministic counter section "
-                "(byte-identical at any shard/thread count) here");
-  args.add_flag("--engine-trace",
-                "run/replay: write a Chrome trace of the engine's own "
-                "wall-clock execution here");
+                "(byte-identical across runs and builds) here");
   args.add_flag("--sweep-threads",
                 "sweep: host threads to shard runs across (0 = all cores; "
                 "overrides SOC_SWEEP_THREADS)");
@@ -957,8 +879,8 @@ int main(int argc, char** argv) {
   args.add_flag("--energy-roofline",
                 "sweep: write the soccluster-energy-roofline/v1 artifact "
                 "here");
-  args.add_bool("--quick", "perf: smoke subset (serial + sharded pair per "
-                           "figure family)");
+  args.add_bool("--quick", "perf: smoke subset (one small case per figure "
+                           "family)");
   args.add_flag("--reps", "perf: timed repetitions per case");
   args.add_flag("--baseline",
                 "perf: committed BENCH_engine.json to diff against (exact "
@@ -966,12 +888,6 @@ int main(int argc, char** argv) {
   args.add_flag("--baseline-tolerance",
                 "perf: fail if events/s drops below this fraction of the "
                 "baseline's", "0.25");
-  args.add_flag("--speedup-tolerance",
-                "perf: fail if a sharded row's speedup_vs_baseline drops "
-                "below this fraction of the baseline's", "0.7");
-  args.add_bool("--explain-scaling",
-                "perf: attach telemetry (untimed rep) and decompose each "
-                "sharded row's scaling loss with zero residual");
 
   try {
     args.parse(argc, argv);
@@ -987,6 +903,9 @@ int main(int argc, char** argv) {
     if (command == "replay") return cmd_replay(args);
     if (command == "perf") return cmd_perf(args);
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+    return usage(args);
+  } catch (const soc::UsageError& e) {
+    std::fprintf(stderr, "socbench: %s\n\n", e.what());
     return usage(args);
   } catch (const soc::Error& e) {
     std::fprintf(stderr, "socbench: %s\n", e.what());
