@@ -81,18 +81,20 @@ Profile analyze(const RunTrace& trace) {
   p.event_checksum = trace.stats.event_checksum;
   p.events_committed = trace.stats.events_committed;
 
-  // Round trip: re-evaluating the measured scenario must land on the
-  // recorded makespan to the nanosecond, or every projection is suspect.
+  // Round trip: re-running the engine on the trace-backed source and
+  // cost model under the measured scenario must land on the recorded
+  // makespan to the nanosecond — i.e. the trace rebuilds the run — or
+  // every projection is suspect.
   p.measured_eval = evaluate(trace, WhatIf{});
   SOC_CHECK(p.measured_eval == p.makespan,
-            "profile: what-if evaluator failed to reproduce the measured run");
+            "profile: the trace re-run failed to reproduce the measured run");
   p.evaluator_exact = true;
 
   WhatIf net;
   net.ideal_network = true;
   p.ideal_network = evaluate(trace, net);
   WhatIf balance;
-  balance.compute_scale = balance_scales(trace.stats);
+  balance.compute_scale = sim::ideal_balance_scales(trace.stats);
   p.ideal_balance = evaluate(trace, balance);
   WhatIf lanes;
   lanes.uncontended = true;

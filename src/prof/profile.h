@@ -4,7 +4,8 @@
 // critical-path attribution, per-rank/ per-lane rollups, what-if
 // projections (ideal network, ideal balance, uncontended lanes), and the
 // single-pass LB/Ser/Trf efficiency decomposition (paper Eq. 4) — all
-// from one instrumented run, no engine replays.
+// from one instrumented run: the what-ifs re-run the engine on the
+// recorded ops, never the workload.
 //
 // profile_json() renders the deterministic `soccluster-critical-path/v1`
 // document.  Every value in the artifact is an integer (nanoseconds, or

@@ -1,14 +1,16 @@
 // Critical-path profiler, stage 3: what-if re-timing.
 //
-// evaluate() re-schedules a recorded RunTrace under a modified scenario
-// WITHOUT re-running the engine: op durations and message costs are read
-// back out of the trace itself, and the scheduling rules (event ordering,
-// eager/rendezvous matching, NIC/fabric/GPU/copy serialization, request
-// windows) mirror sim::Engine exactly.  Evaluating the unmodified
-// ("measured") scenario therefore reproduces the recorded makespan to the
-// nanosecond — analyze() asserts this round trip as `evaluator_exact` —
-// and the ideal-network / ideal-balance scenarios reproduce the paper's
-// DIMEMAS-style replays from one instrumented pass.
+// evaluate() re-runs sim::Engine over the ops a RunTrace recorded, in
+// each rank's program order, with a cost model that reads every duration
+// back out of the trace: lane ops take their recorded service time,
+// messages their recorded latency and wire time, and the send/recv
+// overheads the per-rank constants the profiler derived.  The scheduling
+// is the engine's own, so there is nothing to keep in step with it.
+// Evaluating the unmodified ("measured") scenario therefore reproduces
+// the recorded makespan to the nanosecond exactly when the trace source
+// and cost model rebuild the run — analyze() asserts this round trip as
+// `evaluator_exact` — and the ideal-network / ideal-balance scenarios
+// reproduce the paper's DIMEMAS-style replays from one instrumented pass.
 //
 // The trace must come from a plain measured run (no engine Scenario), as
 // cluster::run produces.
@@ -20,17 +22,11 @@
 
 namespace soc::prof {
 
-/// Scenario knobs for one re-timing.
-struct WhatIf {
-  /// Zero latency and transfer time, no NIC/fabric serialization; message
-  /// overheads and all dependencies remain (the paper's ideal network).
-  bool ideal_network = false;
-  /// Infinite lanes: no GPU/copy queueing and no NIC/fabric queueing, but
-  /// transfers still take their measured latency + wire time.
-  bool uncontended = false;
-  /// Per-rank compute multiplier (empty = 1.0), applied exactly as the
-  /// engine applies Scenario::compute_scale.
-  std::vector<double> compute_scale;
+/// Scenario knobs for one re-timing: the engine's own (ideal_network,
+/// compute_scale, uncontended) plus the energy what-ifs below.
+/// compute_scale cannot be combined with a DVFS factor (evaluate()
+/// throws): the two scalings would round in an unspecified order.
+struct WhatIf : sim::Scenario {
   /// DVFS state: relative frequency of the compute clocks (CPU + GPU).
   /// Durations of cpu/gpu lane ops scale by 1/dvfs_compute; 1.0 is the
   /// recorded state and is an exact identity (no rounding applied).
@@ -48,10 +44,5 @@ struct WhatIf {
 
 /// Re-times the trace under the scenario; returns the projected makespan.
 SimTime evaluate(const RunTrace& trace, const WhatIf& scenario);
-
-/// The compute_scale vector that equalizes per-rank compute — the same
-/// arithmetic as trace::ideal_balance_scales, so single-pass projections
-/// are comparable with the replay-based ScenarioRuns.
-std::vector<double> balance_scales(const sim::RunStats& stats);
 
 }  // namespace soc::prof

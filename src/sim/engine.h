@@ -17,9 +17,12 @@
 //
 // Scenario knobs implement the DIMEMAS-style what-if replays of the
 // paper's scalability methodology: `ideal_network` zeroes latency and
-// transfer time while preserving all dependencies (isolates Ser), and
+// transfer time while preserving all dependencies (isolates Ser),
 // `compute_scale` rescales each rank's compute durations (ideal load
-// balance sets these so every rank does the average amount of work).
+// balance sets these so every rank does the average amount of work), and
+// `uncontended` gives every op its own lane (no GPU, copy, NIC or switch
+// port queueing).  prof::evaluate re-runs the engine under these knobs
+// over a recorded trace.
 #pragma once
 
 #include <memory>
@@ -41,6 +44,10 @@ namespace soc::sim {
 struct Scenario {
   bool ideal_network = false;       ///< Zero-latency, infinite-bandwidth net.
   std::vector<double> compute_scale;  ///< Per-rank multiplier (empty = 1.0).
+  /// Infinite lanes: the GPU, copy-engine, NIC-TX, NIC-RX and switch-port
+  /// clocks never advance, so nothing queues; transfers still take their
+  /// latency + wire time.
+  bool uncontended = false;
 };
 
 /// Resource lanes a committed span can occupy.  Observers key queue-wait
@@ -396,6 +403,7 @@ class Engine {
   Scenario scenario_;
 
   bool protocol_ = false;  ///< Cross-node pairs use protocol messages.
+  SimTime bin_ns_ = 1;     ///< Timeline bin width of the current run.
 
   // --- simulation state (rank- or node-indexed) ---
   std::vector<RankState> states_;

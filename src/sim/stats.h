@@ -95,4 +95,10 @@ struct RunStats {
   double net_bytes_per_second() const;
 };
 
+/// Per-rank compute multipliers that would equalize total compute across
+/// ranks (LB = 1): average compute over the rank's own, from the measured
+/// run's phase_compute.  Scenario::compute_scale for the ideal-balance
+/// what-if; ranks with no compute keep 1.0.
+std::vector<double> ideal_balance_scales(const RunStats& measured);
+
 }  // namespace soc::sim

@@ -37,98 +37,103 @@ class FixedCostModel : public CostModel {
 };
 
 TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
-  q.push(30, 3);
-  q.push(10, 1);
-  q.push(20, 2);
+  KeyedEventQueue q;
+  q.push(30, 0, 3);
+  q.push(10, 0, 1);
+  q.push(20, 0, 2);
   EXPECT_EQ(q.pop().payload, 1);
   EXPECT_EQ(q.pop().payload, 2);
   EXPECT_EQ(q.pop().payload, 3);
 }
 
-TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  q.push(5, 10);
-  q.push(5, 20);
-  q.push(5, 30);
-  EXPECT_EQ(q.pop().payload, 10);
-  EXPECT_EQ(q.pop().payload, 20);
-  EXPECT_EQ(q.pop().payload, 30);
+// Equal times pop in key order, whatever the push order.
+TEST(EventQueue, TiesBreakByKey) {
+  KeyedEventQueue q;
+  q.push(5, 30, 3);
+  q.push(5, 10, 1);
+  q.push(5, 20, 2);
+  EXPECT_EQ(q.pop().payload, 1);
+  EXPECT_EQ(q.pop().payload, 2);
+  EXPECT_EQ(q.pop().payload, 3);
 }
 
 TEST(EventQueue, PopEmptyThrows) {
-  EventQueue q;
+  KeyedEventQueue q;
   EXPECT_THROW(q.pop(), Error);
-  EXPECT_THROW(q.next_time(), Error);
+  q.push(1, 0, 0);
+  q.pop();
+  EXPECT_THROW(q.pop(), Error);
 }
 
 TEST(EventQueue, NegativeTimeRejected) {
-  EventQueue q;
-  EXPECT_THROW(q.push(-1, 0), Error);
+  KeyedEventQueue q;
+  EXPECT_THROW(q.push(-1, 0, 0), Error);
 }
 
-// Pushes at the time just popped take the same-time fast path (the ring
-// buffer that bypasses the heap); FIFO order must hold across the
-// boundary between heap-resident and ring-resident events.
-TEST(EventQueue, EqualTimeFifoSurvivesPopThenPush) {
-  EventQueue q;
-  q.push(5, 1);
-  q.push(5, 2);
-  q.push(9, 99);
+// A push at the time just popped, with a lower key than an event already
+// queued at that time, still pops first: order is (time, key), not
+// arrival.
+TEST(EventQueue, EqualTimePushAfterPopOrdersByKey) {
+  KeyedEventQueue q;
+  q.push(5, 1, 1);
+  q.push(5, 8, 8);
+  q.push(9, 0, 99);
   EXPECT_EQ(q.pop().payload, 1);
-  q.push(5, 3);  // same time as the pop just served
-  q.push(5, 4);
-  q.push(5, 5);
+  q.push(5, 7, 7);  // same time as the pop just served
+  q.push(5, 2, 2);
   EXPECT_EQ(q.pop().payload, 2);
-  EXPECT_EQ(q.pop().payload, 3);
-  EXPECT_EQ(q.pop().payload, 4);
-  EXPECT_EQ(q.pop().payload, 5);
+  EXPECT_EQ(q.pop().payload, 7);
+  EXPECT_EQ(q.pop().payload, 8);
   EXPECT_EQ(q.pop().payload, 99);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, InterleavedPushPopKeepsGlobalOrder) {
-  EventQueue q;
-  q.push(10, 1);
-  q.push(30, 3);
+  KeyedEventQueue q;
+  q.push(10, 0, 1);
+  q.push(30, 0, 3);
   EXPECT_EQ(q.pop().payload, 1);
-  q.push(20, 2);  // earlier than the heap top pushed before the pop
-  q.push(10, 9);  // equal to the last popped time: ring path
+  q.push(20, 0, 2);  // earlier than the heap top pushed before the pop
+  q.push(10, 1, 9);  // equal to the last popped time
   EXPECT_EQ(q.pop().payload, 9);
   EXPECT_EQ(q.pop().payload, 2);
-  q.push(25, 4);
+  q.push(25, 0, 4);
   EXPECT_EQ(q.pop().payload, 4);
   EXPECT_EQ(q.pop().payload, 3);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, NextTimeTracksPartialDrain) {
-  EventQueue q;
-  q.push(7, 1);
-  q.push(7, 2);
-  q.push(12, 3);
-  EXPECT_EQ(q.next_time(), 7);
+  KeyedEventQueue q;
+  q.push(7, 2, 2);
+  q.push(12, 0, 3);
+  q.push(7, 1, 1);
+  EXPECT_EQ(q.top().time, 7);
+  EXPECT_EQ(q.top().key, 1u);
   q.pop();
-  EXPECT_EQ(q.next_time(), 7);  // second equal-time event still queued
+  EXPECT_EQ(q.top().time, 7);  // second equal-time event still queued
+  EXPECT_EQ(q.top().key, 2u);
   q.pop();
-  EXPECT_EQ(q.next_time(), 12);
-  q.pop();
-  EXPECT_THROW(q.next_time(), Error);
+  EXPECT_EQ(q.top().time, 12);
+  EXPECT_EQ(q.size(), 1u);
 }
 
+// Neither the storage hint nor the push order changes what pops.
 TEST(EventQueue, ReserveDoesNotChangeOrder) {
-  EventQueue small;
-  EventQueue big;
+  KeyedEventQueue small;
+  KeyedEventQueue big;
   big.reserve(1024);
   for (int i = 0; i < 64; ++i) {
     const SimTime t = (i * 7) % 13;
-    small.push(t, i);
-    big.push(t, i);
+    small.push(t, static_cast<std::uint64_t>(i), i);
+    const int j = 63 - i;
+    big.push((j * 7) % 13, static_cast<std::uint64_t>(j), j);
   }
   while (!small.empty()) {
-    const Event a = small.pop();
-    const Event b = big.pop();
+    const KeyedEvent a = small.pop();
+    const KeyedEvent b = big.pop();
     EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.key, b.key);
     EXPECT_EQ(a.payload, b.payload);
   }
   EXPECT_TRUE(big.empty());

@@ -71,12 +71,15 @@
 //       --baseline gates exact checksums and tolerant events/s against a
 //       committed report.
 //
-// Malformed command lines (unknown flag, missing value, bad number) print
-// the message plus usage and exit 2; simulation failures exit 1.
+// Malformed command lines (unknown flag, missing value, bad number, unknown
+// workload/NIC/memory model, fewer than one node) print the message plus
+// usage and exit 2; simulation failures exit 1.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,14 +117,46 @@ using namespace soc;
 net::NicKind parse_nic(const std::string& s) {
   if (s == "1g") return net::NicKind::kGigabit;
   if (s == "10g") return net::NicKind::kTenGigabit;
-  throw Error("unknown NIC '" + s + "' (use 1g or 10g)");
+  throw UsageError("unknown NIC '" + s + "' (use 1g or 10g)");
 }
 
 sim::MemModel parse_mem_model(const std::string& s) {
   if (s == "hd") return sim::MemModel::kHostDevice;
   if (s == "zc") return sim::MemModel::kZeroCopy;
   if (s == "um") return sim::MemModel::kUnified;
-  throw Error("unknown memory model '" + s + "' (use hd, zc, or um)");
+  throw UsageError("unknown memory model '" + s + "' (use hd, zc, or um)");
+}
+
+/// A workload tag the registry knows; anything else is a usage error.
+const std::string& checked_workload(const std::string& tag) {
+  const std::vector<std::string>& names = workloads::list();
+  if (std::find(names.begin(), names.end(), tag) == names.end()) {
+    throw UsageError("unknown workload '" + tag + "' (see 'socbench list')");
+  }
+  return tag;
+}
+
+/// A cluster size from the command line; below one node is a usage error.
+int checked_nodes(int nodes) {
+  if (nodes < 1) {
+    throw UsageError("--nodes must be at least 1, got " +
+                     std::to_string(nodes));
+  }
+  return nodes;
+}
+
+std::unique_ptr<workloads::Workload> workload_from(const ArgParser& args) {
+  return workloads::make_workload(checked_workload(args.get("--workload")));
+}
+
+int nodes_from(const ArgParser& args) {
+  return checked_nodes(args.get_int("--nodes"));
+}
+
+std::vector<int> node_list_from(const ArgParser& args) {
+  std::vector<int> nodes = parse_int_list(args.get("--nodes"));
+  for (const int n : nodes) checked_nodes(n);
+  return nodes;
 }
 
 int natural_ranks(const workloads::Workload& w, int nodes) {
@@ -223,7 +258,7 @@ workloads::ScenarioConfig scenario_from(const ArgParser& args) {
 // stream (RunStats::event_checksum).  Returns true when they do.
 bool audit_workload(const std::string& name, const ArgParser& args) {
   const auto workload = workloads::make_workload(name);
-  const int nodes = args.get_int("--nodes");
+  const int nodes = nodes_from(args);
   const int ranks = args.given("--ranks") ? args.get_int("--ranks")
                                           : natural_ranks(*workload, nodes);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
@@ -272,7 +307,7 @@ int cmd_audit(const ArgParser& args) {
   const std::string tag = args.get("--workload");
   const std::vector<std::string> names =
       tag == "all" ? workloads::list()
-                   : std::vector<std::string>{tag};
+                   : std::vector<std::string>{checked_workload(tag)};
   bool ok = true;
   for (const std::string& name : names) ok = audit_workload(name, args) && ok;
   if (!ok) {
@@ -287,8 +322,8 @@ int cmd_audit(const ArgParser& args) {
 
 int cmd_run(const ArgParser& args) {
   if (args.get_bool("--audit-determinism")) return cmd_audit(args);
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
+  const auto workload = workload_from(args);
+  const int nodes = nodes_from(args);
   const int ranks = args.given("--ranks") ? args.get_int("--ranks")
                                           : natural_ranks(*workload, nodes);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
@@ -366,9 +401,10 @@ unsigned sweep_threads(const ArgParser& args) {
 int cmd_sweep(const ArgParser& args) {
   const std::string tag = args.get("--workload");
   sweep::Grid grid;
-  grid.workloads = tag == "all" ? workloads::list()
-                                : std::vector<std::string>{tag};
-  grid.nodes = parse_int_list(args.get("--nodes"));
+  grid.workloads = tag == "all"
+                       ? workloads::list()
+                       : std::vector<std::string>{checked_workload(tag)};
+  grid.nodes = node_list_from(args);
   const std::string nic_arg = args.get("--nic");
   if (nic_arg == "both") {
     grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
@@ -448,7 +484,8 @@ int cmd_frontier(const ArgParser& args) {
   const std::string tag = args.get("--workload");
   sweep::FrontierGrid grid;
   grid.workloads = tag == "all" ? workloads::list() : parse_string_list(tag);
-  grid.nodes = parse_int_list(args.get("--nodes"));
+  for (const std::string& name : grid.workloads) checked_workload(name);
+  grid.nodes = node_list_from(args);
   grid.gpu_fractions = parse_double_list(args.get("--gpu-fractions"));
   grid.dvfs = parse_double_list(args.get("--dvfs"));
   grid.nic = parse_nic(args.get("--nic"));
@@ -492,8 +529,8 @@ int cmd_frontier(const ArgParser& args) {
 }
 
 int cmd_decompose(const ArgParser& args) {
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
+  const auto workload = workload_from(args);
+  const int nodes = nodes_from(args);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
   cluster::RunRequest request;
   request.workload = workload->name();
@@ -519,8 +556,8 @@ int cmd_decompose(const ArgParser& args) {
 }
 
 int cmd_explain(const ArgParser& args) {
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
+  const auto workload = workload_from(args);
+  const int nodes = nodes_from(args);
   const int ranks = args.given("--ranks") ? args.get_int("--ranks")
                                           : natural_ranks(*workload, nodes);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
@@ -668,8 +705,8 @@ int cmd_explain(const ArgParser& args) {
 }
 
 int cmd_trace(const ArgParser& args) {
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
+  const auto workload = workload_from(args);
+  const int nodes = nodes_from(args);
   workloads::BuildContext ctx;
   ctx.nodes = nodes;
   ctx.ranks = args.given("--ranks") ? args.get_int("--ranks")
@@ -688,7 +725,7 @@ int cmd_trace(const ArgParser& args) {
 
 int cmd_replay(const ArgParser& args) {
   const auto programs = trace::load_trace(args.get("--trace"));
-  const int nodes = args.get_int("--nodes");
+  const int nodes = nodes_from(args);
   const int ranks = static_cast<int>(programs.size());
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
   cluster::ClusterCostModel cost(node, nodes, ranks,
