@@ -164,6 +164,21 @@ TEST(CriticalPath, ContendedGpuLane) {
   EXPECT_EQ(evaluate(run.trace(), uncontended), 20 * kMillisecond);
 }
 
+TEST(WhatIf, UncontendedRemovesCopyEngineQueueing) {
+  // Two ranks share one node's copy engine: the second 5 ms copy queues
+  // behind the first until the uncontended what-if gives each its own.
+  FixedCostModel cost;
+  std::vector<std::vector<sim::Op>> programs(2);
+  programs[0] = {sim::copy_h2d_op(4096, sim::MemModel::kHostDevice)};
+  programs[1] = {sim::copy_h2d_op(4096, sim::MemModel::kHostDevice)};
+  const auto run = run_micro(programs, sim::Placement::block(2, 1), cost);
+  ASSERT_EQ(run.stats.makespan, 10 * kMillisecond);
+  EXPECT_EQ(evaluate(run.trace(), WhatIf{}), 10 * kMillisecond);
+  WhatIf uncontended;
+  uncontended.uncontended = true;
+  EXPECT_EQ(evaluate(run.trace(), uncontended), 5 * kMillisecond);
+}
+
 TEST(CriticalPath, NonblockingWaitAllWindow) {
   // Eager halo exchange: irecv + isend + waitall + compute per rank,
   // with per-message overheads so the waitall window is non-trivial.
@@ -214,6 +229,24 @@ TEST(WhatIf, MeasuredEvaluationIsExactOnMicroPrograms) {
   const SimTime ideal = evaluate(run.trace(), net);
   EXPECT_GE(ideal, 0);
   EXPECT_LE(ideal, run.stats.makespan);
+}
+
+TEST(WhatIf, ComputeScaleRefusesDvfsFactor) {
+  FixedCostModel cost;
+  std::vector<std::vector<sim::Op>> programs(2);
+  programs[0] = {sim::cpu_op(1000, 0, 0, 0)};
+  programs[1] = {sim::cpu_op(2000, 0, 0, 0)};
+  const auto run = run_micro(programs, sim::Placement::block(2, 1), cost);
+
+  WhatIf balanced;
+  balanced.compute_scale = {1.5, 0.75};
+  EXPECT_EQ(evaluate(run.trace(), balanced), 15 * kMillisecond);
+  WhatIf compute = balanced;
+  compute.dvfs_compute = 0.8;
+  EXPECT_THROW(evaluate(run.trace(), compute), Error);
+  WhatIf dram = balanced;
+  dram.dvfs_dram = 0.8;
+  EXPECT_THROW(evaluate(run.trace(), dram), Error);
 }
 
 // ---------------------------------------------------------------------------
