@@ -70,9 +70,9 @@ const workloads::Workload& resolve_workload(
 RunResult run(const RunRequest& request, const workloads::Workload& workload,
               const ClusterCostModel& cost) {
   validate(request.config);
-  // The engine pulls ops through the workload's stream (with any
-  // scenario decorators layered on top); Workload::build() survives as
-  // the compat shim underneath the default ProgramWalkStream adapter.
+  // The engine pulls ops through the workload's step-wise stream (with
+  // any scenario decorators layered on top), so generation keeps pace
+  // with the simulation instead of materializing whole programs.
   std::unique_ptr<workloads::OpStream> stream = workloads::apply_scenarios(
       workload.stream(build_context(request.config, request.options)),
       request.scenario, request.config.nodes);

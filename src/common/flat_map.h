@@ -4,16 +4,19 @@
 // properties make that safe where std::unordered_map is banned (see
 // soclint's unordered-in-sim-state rule):
 //
-//  1. Iteration walks entries in *insertion order* — entries live in a
-//     plain vector and the hash table is only an index over it — so any
-//     walk over the map is as reproducible as the insertion sequence.
+//  1. Iteration walks the entries vector, so any walk over the map is a
+//     pure function of the insert/erase sequence.  Without erases that
+//     is insertion order; erase() moves the last entry into the hole, so
+//     after an erase it no longer is (still deterministic).
 //  2. Lookups compare full keys, never hashes alone, so a hash collision
 //     can change probe counts but never which entry is found.
 //
-// The trade against std::map: O(1) expected find/insert with zero
+// The trade against std::map: O(1) expected find/insert/erase with zero
 // per-node allocation (one vector for entries, one for slots), at the
-// cost of no erase and no sorted order.  The engine needs neither — its
-// tables are cleared wholesale between runs and never iterated.
+// cost of no sorted order.  erase() uses backward-shift deletion, so the
+// probe table never holds tombstones.  The engine erases a message key
+// as soon as its queue drains; tags are never reused, so without that
+// its tables would grow by one entry per message for the whole run.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +31,7 @@ namespace soc {
 
 /// Default hash: splitmix64 finalizer for integral keys.  Full-width
 /// mixing keeps linear probing well distributed even for packed bitfield
-/// keys (e.g. the engine's MsgKey) whose low bits carry little entropy.
+/// keys (e.g. sim::message_key) whose low bits carry little entropy.
 template <typename Key>
 struct FlatMapHash {
   static_assert(std::is_integral_v<Key> || std::is_enum_v<Key>,
@@ -42,9 +45,8 @@ struct FlatMapHash {
   }
 };
 
-/// Insertion-ordered open-addressing hash map.  No erase by design: the
-/// engine's tables only grow within a run and reset wholesale, and the
-/// absence of tombstones keeps probing trivially correct.
+/// Open-addressing hash map over a dense entries vector (linear probing,
+/// backward-shift erase, swap-with-last entry removal).
 template <typename Key, typename Value, typename Hash = FlatMapHash<Key>>
 class flat_map {
  public:
@@ -57,7 +59,7 @@ class flat_map {
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
 
-  /// Insertion-order iteration (the determinism contract).
+  /// Entries-vector order: insertion order until the first erase.
   iterator begin() { return entries_.begin(); }
   iterator end() { return entries_.end(); }
   const_iterator begin() const { return entries_.begin(); }
@@ -99,6 +101,43 @@ class flat_map {
       entries_.emplace_back(key, Value{});
     }
     return entries_[slots_[slot]].second;
+  }
+
+  /// Removes `key` if present; returns whether it was.  Invalidates
+  /// pointers to the last entry (it moves into the erased one's place).
+  bool erase(const Key& key) {
+    if (slots_.empty()) return false;
+    std::size_t hole = find_slot(key);
+    const std::uint32_t index = slots_[hole];
+    if (index == kEmpty) return false;
+
+    // Backward shift: walk the probe run after the hole and move back
+    // every entry whose home slot does not lie strictly inside (hole,
+    // next] — it would otherwise become unreachable.
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t next = (hole + 1) & mask; slots_[next] != kEmpty;
+         next = (next + 1) & mask) {
+      const std::size_t home =
+          static_cast<std::size_t>(Hash{}(entries_[slots_[next]].first)) &
+          mask;
+      if (((next - home) & mask) >= ((next - hole) & mask)) {
+        slots_[hole] = slots_[next];
+        hole = next;
+      }
+    }
+    slots_[hole] = kEmpty;
+
+    // Keep entries dense: the last entry fills the erased index.
+    const auto last = static_cast<std::uint32_t>(entries_.size() - 1);
+    if (index != last) {
+      std::size_t slot =
+          static_cast<std::size_t>(Hash{}(entries_[last].first)) & mask;
+      while (slots_[slot] != last) slot = (slot + 1) & mask;
+      slots_[slot] = index;
+      entries_[index] = std::move(entries_[last]);
+    }
+    entries_.pop_back();
+    return true;
   }
 
  private:
@@ -146,7 +185,7 @@ class flat_map {
     }
   }
 
-  std::vector<value_type> entries_;     ///< Insertion-ordered payload.
+  std::vector<value_type> entries_;     ///< Dense payload.
   std::vector<std::uint32_t> slots_;    ///< Power-of-two probe table.
 };
 

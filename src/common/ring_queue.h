@@ -8,7 +8,9 @@
 // message.  This ring holds its first kInlineCapacity elements inside
 // the object and only spills to the heap on deeper queues, so the common
 // match path performs no allocation at all; the spill buffer, once
-// grown, is retained across pop/clear.
+// grown, is retained across pop/clear.  The engine erases a queue's key
+// from its flat_map as soon as the queue drains, so a queue (and any
+// spill buffer) lives only while a message is parked in it.
 #pragma once
 
 #include <array>

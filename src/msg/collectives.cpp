@@ -154,13 +154,12 @@ namespace {
 // ring).  Odd communicators fall back to rank-0-receives-first unwinding.
 void ring_shift(ProgramSet& ps, Bytes bytes) {
   const int p = ps.ranks();
-  std::vector<int> tags(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) tags[static_cast<std::size_t>(r)] = ps.next_tag();
+  const int first_tag = ps.next_tags(p);  // rank r sends with first_tag + r
   for (int r = 0; r < p; ++r) {
     const int right = (r + 1) % p;
     const int left = (r - 1 + p) % p;
-    const int send_tag = tags[static_cast<std::size_t>(r)];
-    const int recv_tag = tags[static_cast<std::size_t>(left)];
+    const int send_tag = first_tag + r;
+    const int recv_tag = first_tag + left;
     const bool send_first = p % 2 == 0 ? r % 2 == 0 : r != 0;
     if (send_first) {
       ps.add(r, sim::send_op(right, bytes, send_tag));
@@ -200,21 +199,16 @@ void alltoall(ProgramSet& ps, Bytes bytes_per_pair) {
   // pairs of one step decompose into gcd(s,p) cycles; the minimum rank of
   // each cycle receives first so every cycle can unwind.
   for (int step = 1; step < p; ++step) {
-    std::vector<int> tags(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) tags[static_cast<std::size_t>(r)] = ps.next_tag();
+    const int first_tag = ps.next_tags(p);  // rank r sends with first_tag + r
+    // Ranks 0..cycles-1 are the cycles' minima: the cycle containing c
+    // is c, c+step, c+2*step, ... (mod p).
     const int cycles = std::gcd(step, p);
-    std::vector<bool> recv_first(static_cast<std::size_t>(p), false);
-    for (int c = 0; c < cycles; ++c) {
-      // The cycle containing c; its minimum element is c itself, since
-      // cycle members are c, c+step, c+2*step, ... (mod p).
-      recv_first[static_cast<std::size_t>(c)] = true;
-    }
     for (int r = 0; r < p; ++r) {
       const int dst = (r + step) % p;
       const int src = (r - step + p) % p;
-      const int send_tag = tags[static_cast<std::size_t>(r)];
-      const int recv_tag = tags[static_cast<std::size_t>(src)];
-      if (recv_first[static_cast<std::size_t>(r)]) {
+      const int send_tag = first_tag + r;
+      const int recv_tag = first_tag + src;
+      if (r < cycles) {
         ps.add(r, sim::recv_op(src, bytes_per_pair, recv_tag));
         ps.add(r, sim::send_op(dst, bytes_per_pair, send_tag));
       } else {

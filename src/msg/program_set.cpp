@@ -25,6 +25,13 @@ int ProgramSet::begin_phase() {
 
 int ProgramSet::next_tag() { return tag_++; }
 
+int ProgramSet::next_tags(int count) {
+  SOC_CHECK(count >= 0, "negative tag count");
+  const int first = tag_;
+  tag_ += count;
+  return first;
+}
+
 void ProgramSet::send_recv(int src, int dst, Bytes bytes) {
   SOC_CHECK(src != dst, "self message");
   const int tag = next_tag();
@@ -57,11 +64,12 @@ void ProgramSet::exchange_async(int rank_a, int rank_b, Bytes bytes) {
 
 void ProgramSet::wait_all(int rank) { add(rank, sim::wait_all_op()); }
 
-std::vector<sim::Program> ProgramSet::take() {
-  std::vector<sim::Program> out = std::move(programs_);
-  programs_.clear();
-  programs_.resize(static_cast<std::size_t>(ranks_));
-  return out;
+void ProgramSet::drop_front(int rank, std::size_t count) {
+  SOC_CHECK(rank >= 0 && rank < ranks_, "rank out of range");
+  sim::Program& program = programs_[static_cast<std::size_t>(rank)];
+  SOC_CHECK(count <= program.size(), "dropping more ops than queued");
+  program.erase(program.begin(),
+                program.begin() + static_cast<std::ptrdiff_t>(count));
 }
 
 }  // namespace soc::msg

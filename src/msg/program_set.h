@@ -6,6 +6,11 @@
 // expanded into point-to-point algorithms at build time so that NIC
 // contention applies to every stage of a tree or ring (design decision 5
 // in DESIGN.md).
+//
+// Step-wise streams (workloads::StepStream) keep one ProgramSet for a
+// whole run: each step appends to the per-rank programs, and consumed
+// ops are dropped from the front, so the programs act as reusable
+// per-rank buffers while the tag and phase counters run on across steps.
 #pragma once
 
 #include <vector>
@@ -30,6 +35,8 @@ class ProgramSet {
 
   /// Allocates a fresh message tag (monotonic, never reused).
   int next_tag();
+  /// Allocates `count` consecutive fresh tags and returns the first.
+  int next_tags(int count);
 
   /// Point-to-point: sender and receiver ops with a shared fresh tag.
   void send_recv(int src, int dst, Bytes bytes);
@@ -46,10 +53,11 @@ class ProgramSet {
   /// Blocks `rank` until all its outstanding non-blocking requests done.
   void wait_all(int rank);
 
-  /// Extracts the built programs (the builder is left empty).
-  std::vector<sim::Program> take();
-
   const std::vector<sim::Program>& programs() const { return programs_; }
+
+  /// Drops the first `count` ops of `rank`'s program, keeping its
+  /// capacity for the ops appended next.
+  void drop_front(int rank, std::size_t count);
 
  private:
   int ranks_;

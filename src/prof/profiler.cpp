@@ -10,13 +10,6 @@ namespace soc::prof {
 
 namespace {
 
-// Same packing as the engine's private Engine::msg_key.
-std::uint64_t msg_key(int src, int dst, int tag) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1FFFFF);
-}
-
 bool is_lane_op(sim::OpKind kind) {
   switch (kind) {
     case sim::OpKind::kCpuCompute:
@@ -179,12 +172,15 @@ void Profiler::build() {
   flat_map<std::uint64_t, RingQueue<int>> pending_recvs;
   flat_map<std::uint64_t, RingQueue<int>> pending_irecvs;
   flat_map<std::uint64_t, RingQueue<ArrivalRef>> arrivals;
+  // Like the engine, erase a key once its queue drains, so the tables
+  // hold only unmatched messages.
   auto pop = [](flat_map<std::uint64_t, RingQueue<int>>& table,
                 std::uint64_t key) {
     auto* q = table.find(key);
-    if (q == nullptr || q->empty()) return -1;
+    if (q == nullptr) return -1;
     const int v = q->front();
     q->pop_front();
+    if (q->empty()) table.erase(key);
     return v;
   };
   for (const std::int64_t entry : order_) {
@@ -192,7 +188,8 @@ void Profiler::build() {
       const int mi = static_cast<int>(~entry);
       const sim::MessageRecord& m =
           trace_.messages[static_cast<std::size_t>(mi)];
-      const std::uint64_t key = msg_key(m.src_rank, m.dst_rank, m.tag);
+      const std::uint64_t key =
+          sim::message_key(m.src_rank, m.dst_rank, m.tag);
       const int si = pop(m.eager ? eager_sends : rvz_sends, key);
       SOC_CHECK(si >= 0, "profiler: message with no announcing send");
       OpExec& send = trace_.ops[si];
@@ -225,7 +222,8 @@ void Profiler::build() {
     switch (op.kind) {
       case sim::OpKind::kSend:
       case sim::OpKind::kIsend: {
-        const std::uint64_t key = msg_key(op.rank, op.peer, op.tag);
+        const std::uint64_t key =
+            sim::message_key(op.rank, op.peer, op.tag);
         const bool eager = op.kind == sim::OpKind::kIsend ||
                            op.bytes <= trace_.config.eager_threshold;
         (eager ? eager_sends : rvz_sends)[key].push_back(oi);
@@ -233,11 +231,13 @@ void Profiler::build() {
       }
       case sim::OpKind::kRecv:
       case sim::OpKind::kIrecv: {
-        const std::uint64_t key = msg_key(op.peer, op.rank, op.tag);
+        const std::uint64_t key =
+            sim::message_key(op.peer, op.rank, op.tag);
         auto* arrived = arrivals.find(key);
-        if (arrived != nullptr && !arrived->empty()) {
+        if (arrived != nullptr) {
           const ArrivalRef a = arrived->front();
           arrived->pop_front();
+          if (arrived->empty()) arrivals.erase(key);
           op.msg = a.msg;
           op.partner = a.op;
           op.partner_ready = trace_.ops[a.op].dispatch;

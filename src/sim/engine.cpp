@@ -48,6 +48,8 @@ Engine::Engine(Placement placement, const CostModel& cost_model,
       config_(config),
       scenario_(std::move(scenario)) {
   SOC_CHECK(placement_.ranks > 0, "no ranks");
+  SOC_CHECK(placement_.ranks <= (1 << 16),
+            "message keys hold rank ids in 16 bits (at most 65536 ranks)");
   SOC_CHECK(static_cast<int>(placement_.node_of.size()) == placement_.ranks,
             "placement size mismatch");
   SOC_CHECK(scenario_.compute_scale.empty() ||
@@ -58,13 +60,6 @@ Engine::Engine(Placement placement, const CostModel& cost_model,
             "EngineConfig::shards must be 1: the engine runs one serial "
             "event loop (run independent configurations in parallel with "
             "sweep::SweepRunner)");
-}
-
-Engine::MsgKey Engine::msg_key(int src, int dst, int tag) {
-  // 21 bits each is far beyond any simulated cluster; tag is workload-local.
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1FFFFF);
 }
 
 std::uint64_t Engine::wake_key(int rank) {
@@ -137,6 +132,19 @@ SimTime apply_time_scale(SimTime t, const Op& op) {
   if (op.time_scale == 1.0) return t;
   return static_cast<SimTime>(
       std::llround(static_cast<double>(t) * op.time_scale));
+}
+
+// Pops the front of `key`'s queue and erases the key once the queue
+// drains.  Tags are never reused, so a drained entry would otherwise sit
+// in the table for the rest of the run; with the erase, a key is present
+// exactly while something is queued under it.
+template <typename T>
+T take_front(flat_map<std::uint64_t, RingQueue<T>>& table, std::uint64_t key,
+             RingQueue<T>& queue) {
+  T value = queue.front();
+  queue.pop_front();
+  if (queue.empty()) table.erase(key);
+  return value;
 }
 
 }  // namespace
@@ -595,7 +603,7 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
             "invalid send peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(rank, op.peer, op.tag);
+  const MsgKey key = message_key(rank, op.peer, op.tag);
 
   if (use_protocol(rank, op.peer)) {
     if (op.bytes <= config_.eager_threshold) {
@@ -637,9 +645,8 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
 
     auto* pending = pending_recvs_.find(key);
     auto* posted = pending_irecvs_.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingRecv pr = pending->front();
-      pending->pop_front();
+    if (pending != nullptr) {
+      const PendingRecv pr = take_front(pending_recvs_, key, *pending);
       commit_pending(0, -1, /*park=*/false);
       auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
       const SimTime complete =
@@ -647,9 +654,8 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
       recv_rs.recv_blocked += complete - pr.ready;
       advance(pr.rank);
       wake(pr.rank, complete);
-    } else if (posted != nullptr && !posted->empty()) {
-      const int recv_rank = posted->front();
-      posted->pop_front();
+    } else if (posted != nullptr) {
+      const int recv_rank = take_front(pending_irecvs_, key, *posted);
       commit_pending(0, -1, /*park=*/false);
       resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
     } else {
@@ -663,17 +669,15 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
 
   // Rendezvous: need a posted receive (blocking or non-blocking).
   auto* pending = pending_recvs_.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
+  if (pending != nullptr) {
+    const PendingRecv pr = take_front(pending_recvs_, key, *pending);
     commit_pending(0, -1, /*park=*/false);
     complete_rendezvous(rank, now, pr.rank, pr.ready, op.bytes, op.tag);
     return;
   }
   auto* posted = pending_irecvs_.find(key);
-  if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
+  if (posted != nullptr) {
+    const int recv_rank = take_front(pending_irecvs_, key, *posted);
     commit_pending(0, -1, /*park=*/false);
     const SimTime end = timed_transfer(rank, recv_rank, now, op.bytes, op.tag);
     stats_.ranks[static_cast<std::size_t>(rank)].send_blocked += end - now;
@@ -693,13 +697,12 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
             "invalid recv peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(op.peer, rank, op.tag);
+  const MsgKey key = message_key(op.peer, rank, op.tag);
 
   // Eager message already delivered?
   auto* arrived = arrivals_.find(key);
-  if (arrived != nullptr && !arrived->empty()) {
-    const Arrival a = arrived->front();
-    arrived->pop_front();
+  if (arrived != nullptr) {
+    const Arrival a = take_front(arrivals_, key, *arrived);
     const SimTime complete = std::max(now, a.time) + cost_.recv_overhead(rank);
     rs.recv_blocked += complete - now;
     advance(rank);
@@ -709,9 +712,8 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
 
   // Rendezvous partner already waiting (parked sender, or its RTS)?
   auto* pending = pending_sends_.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingSend ps = pending->front();
-    pending->pop_front();
+  if (pending != nullptr) {
+    const PendingSend ps = take_front(pending_sends_, key, *pending);
     commit_pending(-1, 0, /*park=*/false);
     if (use_protocol(op.peer, rank)) {
       const SimTime end =
@@ -734,7 +736,7 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
             "invalid isend peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(rank, op.peer, op.tag);
+  const MsgKey key = message_key(rank, op.peer, op.tag);
 
   // Buffered semantics: the transfer launches now; the sender only pays
   // the posting overhead and its request completes locally.
@@ -755,9 +757,8 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
 
   auto* pending = pending_recvs_.find(key);
   auto* posted = pending_irecvs_.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
+  if (pending != nullptr) {
+    const PendingRecv pr = take_front(pending_recvs_, key, *pending);
     commit_pending(0, -1, /*park=*/false);
     auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
     const SimTime complete =
@@ -765,9 +766,8 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
     recv_rs.recv_blocked += complete - pr.ready;
     advance(pr.rank);
     wake(pr.rank, complete);
-  } else if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
+  } else if (posted != nullptr) {
+    const int recv_rank = take_front(pending_irecvs_, key, *posted);
     commit_pending(0, -1, /*park=*/false);
     resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
   } else {
@@ -782,22 +782,20 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
   SOC_CHECK(op.peer >= 0 && op.peer < placement_.ranks && op.peer != rank,
             "invalid irecv peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(op.peer, rank, op.tag);
+  const MsgKey key = message_key(op.peer, rank, op.tag);
 
   // Already-arrived (eager/isend) message?
   auto* arrived = arrivals_.find(key);
-  if (arrived != nullptr && !arrived->empty()) {
-    const Arrival a = arrived->front();
-    arrived->pop_front();
+  if (arrived != nullptr) {
+    const Arrival a = take_front(arrivals_, key, *arrived);
     st.requests_complete =
         std::max(st.requests_complete,
                  std::max(now, a.time) + cost_.recv_overhead(rank));
   } else {
     // A blocking sender already parked in rendezvous (or its RTS landed)?
     auto* pending = pending_sends_.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingSend ps = pending->front();
-      pending->pop_front();
+    if (pending != nullptr) {
+      const PendingSend ps = take_front(pending_sends_, key, *pending);
       commit_pending(-1, 0, /*park=*/false);
       if (use_protocol(op.peer, rank)) {
         const SimTime end = rendezvous_match(ps, rank, now,
@@ -957,7 +955,7 @@ void Engine::launch_eager_remote(int src_rank, int dst_rank, SimTime now,
 void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
   const int dst_node = placement_.node_of[static_cast<std::size_t>(dst)];
-  const MsgKey key = msg_key(p.src_rank, dst, p.tag);
+  const MsgKey key = message_key(p.src_rank, dst, p.tag);
 
   // Switch output-port queueing at the destination shifts delivery (not
   // the nominal wire end, which cost tables derive transfer times from).
@@ -1006,9 +1004,8 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
 
   auto* pending = pending_recvs_.find(key);
   auto* posted = pending_irecvs_.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
+  if (pending != nullptr) {
+    const PendingRecv pr = take_front(pending_recvs_, key, *pending);
     commit_pending(0, -1, /*park=*/false);
     const SimTime complete =
         std::max(pr.ready, delivery) + cost_.recv_overhead(pr.rank);
@@ -1016,9 +1013,8 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
         complete - pr.ready;
     advance(pr.rank);
     wake(pr.rank, complete);
-  } else if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
+  } else if (posted != nullptr) {
+    const int recv_rank = take_front(pending_irecvs_, key, *posted);
     commit_pending(0, -1, /*park=*/false);
     resolve_request(recv_rank, delivery + cost_.recv_overhead(recv_rank));
   } else {
@@ -1029,13 +1025,12 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
 
 void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
-  const MsgKey key = msg_key(p.src_rank, dst, p.tag);
+  const MsgKey key = message_key(p.src_rank, dst, p.tag);
   const PendingSend ps{p.src_rank, p.requested, p.bytes, p.phase, p.tx_est};
 
   auto* pending = pending_recvs_.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
+  if (pending != nullptr) {
+    const PendingRecv pr = take_front(pending_recvs_, key, *pending);
     commit_pending(0, -1, /*park=*/false);
     const SimTime end =
         rendezvous_match(ps, pr.rank, now, std::max(ps.ready, pr.ready), p.tag);
@@ -1046,9 +1041,8 @@ void Engine::process_rts(const ProtoMsg& p, SimTime now) {
     return;
   }
   auto* posted = pending_irecvs_.find(key);
-  if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
+  if (posted != nullptr) {
+    const int recv_rank = take_front(pending_irecvs_, key, *posted);
     commit_pending(0, -1, /*park=*/false);
     const SimTime end = rendezvous_match(ps, recv_rank, now, ps.ready, p.tag);
     resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));

@@ -245,9 +245,7 @@ class Engine {
     Bytes bytes;
   };
 
-  using MsgKey = std::uint64_t;  ///< (src, dst, tag) packed.
-
-  static MsgKey msg_key(int src, int dst, int tag);
+  using MsgKey = std::uint64_t;  ///< sim::message_key(src, dst, tag).
 
   /// Cross-node protocol messages.  Timestamps are at least one
   /// cross-node latency past the emission time.
@@ -418,6 +416,9 @@ class Engine {
   KeyedEventQueue queue_;
   std::vector<ProtoMsg> proto_pool_;
   std::vector<std::int32_t> proto_free_;
+  // Pending-message tables: a key is present only while its queue is
+  // non-empty (drained keys are erased), so their size tracks in-flight
+  // messages, not messages sent so far.
   flat_map<MsgKey, RingQueue<PendingSend>> pending_sends_;
   flat_map<MsgKey, RingQueue<PendingRecv>> pending_recvs_;
   flat_map<MsgKey, RingQueue<int>> pending_irecvs_;

@@ -72,6 +72,16 @@ struct Op {
 
 using Program = std::vector<Op>;
 
+/// Matching key of a point-to-point message, packed src:16 | dst:16 |
+/// tag:32.  Full-width tags never alias (workloads allocate millions);
+/// ranks must be < 65536, which the engine checks.  The engine's matcher
+/// and the profiler's replay of it both key on this.
+constexpr std::uint64_t message_key(int src, int dst, int tag) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint16_t>(src)) << 48) |
+         (static_cast<std::uint64_t>(static_cast<std::uint16_t>(dst)) << 32) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
+}
+
 /// Convenience constructors keep workload generators readable.
 Op cpu_op(double instructions, double flops, Bytes dram_bytes, int profile,
           int phase = 0);

@@ -8,10 +8,10 @@
 // the engine is serial and its event order is fixed, hence so is every
 // (rank, now) pull sequence.
 //
-// ProgramSource adapts the classic eager path (one std::vector<Op> per
-// rank); RecordingSource tees any source into materialized programs so a
-// streamed run can be replayed verbatim under what-if scenarios
-// (trace::replay_scenarios).
+// ProgramSource walks materialized programs (one std::vector<Op> per
+// rank: a loaded trace, or Workload::build()'s output); RecordingSource
+// tees any source into materialized programs so a streamed run can be
+// replayed verbatim under what-if scenarios (trace::replay_scenarios).
 #pragma once
 
 #include <vector>
@@ -40,7 +40,7 @@ class OpSource {
 };
 
 /// Walks pre-built per-rank programs (non-owning; the vector must outlive
-/// the source).  This is the eager Workload::build() compatibility path.
+/// the source).
 class ProgramSource final : public OpSource {
  public:
   explicit ProgramSource(const std::vector<Program>& programs);

@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "msg/program_set.h"
 #include "workloads/kernels/dnn.h"
+#include "workloads/op_stream.h"
 #include "workloads/profiles.h"
 
 namespace soc::workloads {
@@ -25,19 +26,15 @@ double DnnWorkload::flops_per_image() const {
   return kernels::network_flops(layers);
 }
 
-std::vector<sim::Program> DnnWorkload::build(const BuildContext& ctx) const {
+std::unique_ptr<OpStream> DnnWorkload::stream(const BuildContext& ctx) const {
   validate(ctx);
   const int ranks = ctx.ranks;
-  const auto layers = network_ == Network::kAlexNet
-                          ? kernels::alexnet_layers()
-                          : kernels::googlenet_layers();
-
   const int images =
       std::max(1, static_cast<int>(total_images_ * ctx.size_scale));
-  msg::ProgramSet ps(ranks);
+  const int per_rank = (images + ranks - 1) / ranks;
 
   // 227×227×3 float input tensor staged to the device per image.
-  const Bytes input_bytes = 227 * 227 * 3 * 4;
+  constexpr Bytes kInputBytes = 227 * 227 * 3 * 4;
   // JPEG decode + resize + mean-subtract: ~1.4e7 instructions per image
   // (≈12 ms on a Cortex-A57, ≈5 ms on a Xeon core — the published
   // balance).  GoogLeNet adds a second preprocessing pass.
@@ -48,33 +45,40 @@ std::vector<sim::Program> DnnWorkload::build(const BuildContext& ctx) const {
   // inference would be weight-bandwidth-bound on the SoC).
   const int batch = 16;
 
-  const int per_rank = (images + ranks - 1) / ranks;
-  for (int r = 0; r < ranks; ++r) {
-    const int mine = std::min(per_rank, images - r * per_rank);
-    if (mine <= 0) break;
-    for (int done = 0; done < mine; done += batch) {
+  // One step per batch: step k is every rank's k-th batch (ranks past
+  // the last image get none).  Ranks never communicate, so each rank's
+  // ops are the same as classifying its images in one go.
+  auto step = [ranks, images, per_rank, decode_instructions, batch,
+               layers = network_ == Network::kAlexNet
+                            ? kernels::alexnet_layers()
+                            : kernels::googlenet_layers(),
+               mm = ctx.mem_model](int k, msg::ProgramSet& ps) {
+    const int done = k * batch;
+    for (int r = 0; r < ranks; ++r) {
+      const int mine = std::min(per_rank, images - r * per_rank);
+      if (mine <= done) break;
       const int b = std::min(batch, mine - done);
       for (int i = 0; i < b; ++i) {
         ps.add(r, sim::cpu_op(decode_instructions, 2.0e6,
                               /*dram_bytes=*/600 * kKB, /*profile=*/0));
       }
-      ps.add(r, sim::copy_h2d_op(input_bytes * b, ctx.mem_model));
+      ps.add(r, sim::copy_h2d_op(kInputBytes * b, mm));
       for (const kernels::LayerSpec& layer : layers) {
         // Activations scale with the batch; weights stream once.
         const double act_bytes = (layer.bytes - layer.weight_bytes) * b;
         ps.add(r, sim::gpu_op(layer.flops * b,
                               static_cast<Bytes>(act_bytes +
                                                  layer.weight_bytes),
-                              ctx.mem_model, ps.phase(),
-                              layer.parallelism * b,
+                              mm, ps.phase(), layer.parallelism * b,
                               /*double_precision=*/false));
       }
-      ps.add(r, sim::copy_d2h_op(1000 * 4 * b, ctx.mem_model));  // logits
+      ps.add(r, sim::copy_d2h_op(1000 * 4 * b, mm));  // logits
       ps.add(r, sim::cpu_op(2.0e5 * b, 2.0e4 * b, 8 * kKiB,
                             /*profile=*/0));  // argmax
     }
-  }
-  return ps.take();
+  };
+  return std::make_unique<StepStream>(ranks, (per_rank + batch - 1) / batch,
+                                      std::move(step));
 }
 
 }  // namespace soc::workloads

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "msg/collectives.h"
 #include "msg/program_set.h"
+#include "workloads/op_stream.h"
 #include "workloads/profiles.h"
 #include "workloads/scientific.h"
 
@@ -27,11 +28,10 @@ arch::WorkloadProfile NpbWorkload::cpu_profile() const {
   throw Error("unknown NPB tag: " + spec_.tag);
 }
 
-std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
+std::unique_ptr<OpStream> NpbWorkload::stream(const BuildContext& ctx) const {
   validate(ctx);
   const int p = ctx.ranks;
   const bool pow2 = std::has_single_bit(static_cast<unsigned>(p));
-  msg::ProgramSet ps(p);
 
   // Strong scaling from the 32-rank calibration point.
   const double work_scale = 32.0 / p * ctx.size_scale;
@@ -48,20 +48,34 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
                          (32.0 * 32.0) / (static_cast<double>(p) * p) *
                          ctx.size_scale),
       64);
+  const std::vector<double> jitter =
+      imbalance_factors(name(), p, spec_.imbalance);
 
-  for (int it = 0; it < spec_.iterations; ++it) {
+  // One step per iteration, then the terminal verification reduction
+  // (every NPB code ends with one).
+  auto step = [spec = spec_, p, pow2, instr, face, pair_bytes, jitter](
+                  int it, msg::ProgramSet& ps) {
+    if (it == spec.iterations) {
+      if (p > 1) msg::allreduce(ps, 80);
+      return;
+    }
     if (it % 10 == 0) ps.begin_phase();
+    auto emit_cpu = [&](int r, double i) {
+      ps.add(r, sim::cpu_op(i, i * spec.flops_per_instruction,
+                            static_cast<Bytes>(
+                                i * spec.dram_bytes_per_instruction),
+                            /*profile=*/0));
+    };
 
     // Pipeline sweeps interleave compute and messaging; everything else
     // computes first, then communicates.
-    if (spec_.pattern == NpbPattern::kPipeline && p > 1) {
+    if (spec.pattern == NpbPattern::kPipeline && p > 1) {
       // Forward and backward SSOR wavefronts.  Many fronts pipeline
       // through the rank chain, so the serialized portion is only the
       // pipeline fill (~two fronts' worth of one rank's work); the rest
       // of each rank's sweep overlaps with its neighbours.
       for (int dir = 0; dir < 2; ++dir) {
-        std::vector<int> tags(static_cast<std::size_t>(p));
-        for (int& t : tags) t = ps.next_tag();
+        const int first_tag = ps.next_tags(p);  // rank r sends first_tag + r
         const double sweep_instr = instr / 2.0;
         const double fill_instr = sweep_instr * 0.7 / p;
         for (int s = 0; s < p; ++s) {
@@ -69,38 +83,25 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
           const int prev = dir == 0 ? r - 1 : r + 1;
           const int next = dir == 0 ? r + 1 : r - 1;
           if (prev >= 0 && prev < p) {
-            ps.add(r, sim::recv_op(prev, face,
-                                   tags[static_cast<std::size_t>(prev)]));
+            ps.add(r, sim::recv_op(prev, face, first_tag + prev));
           }
-          const double jitter = imbalance_factor(name(), r, spec_.imbalance);
-          auto emit_cpu = [&](double i) {
-            ps.add(r, sim::cpu_op(i, i * spec_.flops_per_instruction,
-                                  static_cast<Bytes>(
-                                      i * spec_.dram_bytes_per_instruction),
-                                  /*profile=*/0));
-          };
-          emit_cpu(fill_instr * jitter);
+          const double j = jitter[static_cast<std::size_t>(r)];
+          emit_cpu(r, fill_instr * j);
           if (next >= 0 && next < p) {
-            ps.add(r, sim::send_op(next, face,
-                                   tags[static_cast<std::size_t>(r)]));
+            ps.add(r, sim::send_op(next, face, first_tag + r));
           }
-          emit_cpu((sweep_instr - fill_instr) * jitter);
+          emit_cpu(r, (sweep_instr - fill_instr) * j);
         }
       }
-      continue;
+      return;
     }
 
     for (int r = 0; r < p; ++r) {
-      const double jitter = imbalance_factor(name(), r, spec_.imbalance);
-      const double i = instr * jitter;
-      ps.add(r, sim::cpu_op(i, i * spec_.flops_per_instruction,
-                            static_cast<Bytes>(
-                                i * spec_.dram_bytes_per_instruction),
-                            /*profile=*/0));
+      emit_cpu(r, instr * jitter[static_cast<std::size_t>(r)]);
     }
-    if (p == 1) continue;
+    if (p == 1) return;
 
-    switch (spec_.pattern) {
+    switch (spec.pattern) {
       case NpbPattern::kNeighbors:
         // Three face exchanges per step (multipartition x/y/z sweeps).
         for (int shift : {1, 2, 4}) {
@@ -148,11 +149,9 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
         break;
       }
     }
-  }
-
-  // Terminal verification reduction (every NPB code ends with one).
-  if (p > 1) msg::allreduce(ps, 80);
-  return ps.take();
+  };
+  return std::make_unique<StepStream>(p, spec_.iterations + 1,
+                                      std::move(step));
 }
 
 NpbSpec npb_bt_spec() {

@@ -1,6 +1,5 @@
 #include "workloads/op_stream.h"
 
-#include <mutex>
 #include <utility>
 
 #include "common/error.h"
@@ -14,40 +13,28 @@ bool OpStream::next(int rank, SimTime now, sim::Op* op) {
   return true;
 }
 
-ProgramWalkStream::ProgramWalkStream(const Workload& workload,
-                                     const BuildContext& ctx)
-    : workload_(&workload), ctx_(ctx), ranks_(ctx.ranks) {
-  validate(ctx_);
+StepStream::StepStream(int ranks, int steps, Step step)
+    : ps_(ranks),
+      steps_(steps),
+      step_(std::move(step)),
+      cursor_(static_cast<std::size_t>(ranks), 0) {
+  SOC_CHECK(steps_ >= 0, "StepStream needs a non-negative step count");
 }
 
-ProgramWalkStream::ProgramWalkStream(std::vector<sim::Program> programs)
-    : built_(true),
-      programs_(std::move(programs)),
-      cursor_(programs_.size(), 0),
-      ranks_(static_cast<int>(programs_.size())) {}
-
-int ProgramWalkStream::ranks() const { return ranks_; }
-
-void ProgramWalkStream::ensure_built() {
-  // Engine worker threads may pull concurrently for distinct ranks (the
-  // OpSource contract); the lazy build is the one shared step, so it
-  // must publish programs_/cursor_ exactly once.
-  std::call_once(build_once_, [this] {
-    if (built_) return;  // constructed from pre-built programs
-    programs_ = workload_->build(ctx_);
-    SOC_CHECK(static_cast<int>(programs_.size()) == ranks_,
-              "workload built a program count != ctx.ranks");
-    cursor_.assign(programs_.size(), 0);
-    built_ = true;
-  });
-}
-
-sim::Op ProgramWalkStream::get_next(int rank, SimTime /*now*/) {
-  ensure_built();
-  const std::size_t r = static_cast<std::size_t>(rank);
-  SOC_CHECK(r < programs_.size(), "ProgramWalkStream: rank out of range");
-  if (cursor_[r] >= programs_[r].size()) return sim::end_op();
-  return programs_[r][cursor_[r]++];
+sim::Op StepStream::get_next(int rank, SimTime /*now*/) {
+  SOC_CHECK(rank >= 0 && rank < ps_.ranks(), "StepStream: rank out of range");
+  const auto r = static_cast<std::size_t>(rank);
+  // A step may emit nothing for this rank (a DNN rank out of images), so
+  // keep stepping until it has an op or the steps run out.
+  while (cursor_[r] == ps_.programs()[r].size()) {
+    if (next_step_ == steps_) return sim::end_op();
+    for (int q = 0; q < ps_.ranks(); ++q) {
+      ps_.drop_front(q, cursor_[static_cast<std::size_t>(q)]);
+      cursor_[static_cast<std::size_t>(q)] = 0;
+    }
+    step_(next_step_++, ps_);
+  }
+  return ps_.programs()[r][cursor_[r]++];
 }
 
 }  // namespace soc::workloads

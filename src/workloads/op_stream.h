@@ -7,19 +7,25 @@
 // engine's bool protocol, which guarantees kEnd itself never reaches the
 // dispatch loop (the engine SOC_CHECKs on it).
 //
-// ProgramWalkStream adapts any eager Workload::build() generator: the
-// programs are generated lazily on the first pull and walked in order, so
-// streaming a workload commits the byte-identical event sequence (and
-// event_checksum) as replaying its built programs.
+// StepStream is the one generator-backed stream.  A workload computes its
+// constants once and hands over a step function that appends step k (one
+// outer iteration, or one DNN batch) for every rank to a shared
+// msg::ProgramSet.  The stream keeps a read cursor per rank into those
+// per-rank buffers; when a rank's buffer runs dry it drops every rank's
+// consumed prefix and emits the next step.  Memory therefore follows how
+// far the ranks drift apart, not how long the run is, and since the
+// buffers keep their capacity the steady state allocates nothing.  Tags
+// and phases come from the one ProgramSet in step order, so every rank's
+// op sequence is byte-identical to generating all steps up front.
 #pragma once
 
-#include <memory>
-#include <mutex>
+#include <cstddef>
+#include <functional>
 #include <vector>
 
+#include "msg/program_set.h"
 #include "sim/op.h"
 #include "sim/op_stream.h"
-#include "workloads/workload.h"
 
 namespace soc::workloads {
 
@@ -34,31 +40,24 @@ class OpStream : public sim::OpSource {
   bool next(int rank, SimTime now, sim::Op* op) final;
 };
 
-/// Lazily walks the programs of an eager generator.  Generation runs on
-/// the first pull, not at construction, so building a decorated pipeline
-/// stays cheap until the engine actually starts.
-class ProgramWalkStream final : public OpStream {
+/// Generates a workload one step at a time, on demand.
+class StepStream final : public OpStream {
  public:
-  /// Walks `workload.build(ctx)`.  The workload reference must outlive
-  /// the first pull (cluster::run owns both for the run's duration).
-  ProgramWalkStream(const Workload& workload, const BuildContext& ctx);
+  /// Appends step `step` (0-based, called in order) for every rank.
+  using Step = std::function<void(int step, msg::ProgramSet& ps)>;
 
-  /// Walks already-built programs (takes ownership).
-  explicit ProgramWalkStream(std::vector<sim::Program> programs);
+  /// A stream of `steps` steps over `ranks` ranks.
+  StepStream(int ranks, int steps, Step step);
 
-  int ranks() const override;
+  int ranks() const override { return ps_.ranks(); }
   sim::Op get_next(int rank, SimTime now) override;
 
  private:
-  void ensure_built();
-
-  const Workload* workload_ = nullptr;
-  BuildContext ctx_;
-  std::once_flag build_once_;  // SOC_SHARED(build_once_) — publishes the build
-  bool built_ = false;
-  std::vector<sim::Program> programs_;
-  std::vector<std::size_t> cursor_;
-  int ranks_;
+  msg::ProgramSet ps_;
+  int steps_;
+  int next_step_ = 0;
+  Step step_;
+  std::vector<std::size_t> cursor_;  ///< Per rank: next op in its buffer.
 };
 
 }  // namespace soc::workloads

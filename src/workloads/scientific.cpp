@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "msg/collectives.h"
 #include "msg/program_set.h"
+#include "workloads/op_stream.h"
 #include "workloads/profiles.h"
 
 namespace soc::workloads {
@@ -67,6 +68,16 @@ double imbalance_factor(const std::string& workload, int rank,
   return 1.0 + amount * (2.0 * rng.next_double() - 1.0);
 }
 
+std::vector<double> imbalance_factors(const std::string& workload, int count,
+                                      double amount) {
+  std::vector<double> factors(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    factors[static_cast<std::size_t>(i)] =
+        imbalance_factor(workload, i, amount);
+  }
+  return factors;
+}
+
 // ---------------------------------------------------------------- hpl --
 
 HplWorkload::HplWorkload(std::size_t n, std::size_t nb) : n_(n), nb_(nb) {
@@ -82,7 +93,7 @@ double HplWorkload::total_flops() const {
   return (2.0 / 3.0) * n * n * n;
 }
 
-std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
+std::unique_ptr<OpStream> HplWorkload::stream(const BuildContext& ctx) const {
   validate(ctx);
   const int nodes = ctx.nodes;
   const int ranks = ctx.ranks;
@@ -92,8 +103,10 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
 
   const auto n = static_cast<std::size_t>(
       static_cast<double>(n_) * std::cbrt(ctx.size_scale));
-  const std::size_t iterations = n / nb_;
-  msg::ProgramSet ps(ranks);
+  // One step per panel k whose trailing matrix, n - (k+1)·nb, is still
+  // at least one panel wide: k = 0 .. n/nb - 2.
+  const std::size_t panels = n / nb_;
+  const int steps = panels > 0 ? static_cast<int>(panels - 1) : 0;
 
   // Work split.  Fig 7 sweeps `gpu_work_fraction`; Table IV adds the
   // colocated mode (one GPU-driving rank + 3 CPU ranks per node).  The
@@ -109,22 +122,25 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
   // does); with one rank per node every rank is a leader.
   std::vector<int> leaders;
   for (int r = 0; r < ranks; r += rpn) leaders.push_back(r);
+  const std::vector<double> jitter = imbalance_factors(name(), ranks, 0.04);
 
-  for (std::size_t k = 0; k < iterations; ++k) {
+  auto step = [ranks, rpn, n, panel = nb_, colocated, gpu_share, leaders,
+               jitter, mm = ctx.mem_model](int step_index,
+                                           msg::ProgramSet& ps) {
+    const auto k = static_cast<std::size_t>(step_index);
     const double m = static_cast<double>(n) -
-                     static_cast<double>((k + 1) * nb_);
-    if (m < static_cast<double>(nb_)) break;
+                     static_cast<double>((k + 1) * panel);
     ps.begin_phase();
-    const double nb = static_cast<double>(nb_);
+    const double nb = static_cast<double>(panel);
     const int root = static_cast<int>(k % static_cast<std::size_t>(ranks));
 
     // Distributed panel factorization (CPU): Σ m·nb² flops over ranks.
     const double panel_flops = m * nb * nb / ranks;
     for (int r = 0; r < ranks; ++r) {
-      const double jitter = imbalance_factor(name(), r, 0.04);
-      ps.add(r, sim::cpu_op(panel_flops * 0.8 * jitter, panel_flops,
-                            static_cast<Bytes>(m * nb * 8.0 / ranks),
-                            /*profile=*/0));
+      ps.add(r, sim::cpu_op(
+                    panel_flops * 0.8 * jitter[static_cast<std::size_t>(r)],
+                    panel_flops, static_cast<Bytes>(m * nb * 8.0 / ranks),
+                    /*profile=*/0));
     }
 
     // Panel broadcast + U broadcast + pivot-row swaps: the three
@@ -155,7 +171,7 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
     // Trailing-matrix update: 2·nb·m² flops split GPU/CPU per the ratio.
     const double update_flops = 2.0 * nb * m * m / ranks;
     for (int r = 0; r < ranks; ++r) {
-      const double jitter = imbalance_factor(name(), r, 0.04);
+      const double j = jitter[static_cast<std::size_t>(r)];
       const bool drives_gpu = rpn == 1 || r % rpn == 0;
       double cpu_part = update_flops * (1.0 - gpu_share);
       if (colocated) {
@@ -165,24 +181,24 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
                               : update_flops * (1.0 - gpu_share) * 4.0 / 3.0;
       }
       if (drives_gpu && gpu_share > 0.0) {
-        const double gpu_flops = update_flops * gpu_share *
-                                 (rpn == 1 ? 1.0 : 4.0) * jitter;
-        stage_in(ps, r, panel_bytes, ctx.mem_model);
+        const double gpu_flops =
+            update_flops * gpu_share * (rpn == 1 ? 1.0 : 4.0) * j;
+        stage_in(ps, r, panel_bytes, mm);
         ps.add(r, sim::gpu_op(gpu_flops,
-                              static_cast<Bytes>(gpu_flops / 2.0),
-                              ctx.mem_model, ps.phase(), m * m / ranks));
+                              static_cast<Bytes>(gpu_flops / 2.0), mm,
+                              ps.phase(), m * m / ranks));
       }
       if (cpu_part > 0.0) {
         // NEON-blocked DGEMM sustains ~3 DP GFLOP/s per A57 core —
         // comparable to the Maxwell GPU's crippled 1/32-rate DP units,
         // which is exactly why colocation pays on this SoC (Table IV).
-        ps.add(r, sim::cpu_op(cpu_part * 0.35 * jitter, cpu_part,
+        ps.add(r, sim::cpu_op(cpu_part * 0.35 * j, cpu_part,
                               static_cast<Bytes>(cpu_part / 4.0),
                               /*profile=*/0));
       }
     }
-  }
-  return ps.take();
+  };
+  return std::make_unique<StepStream>(ranks, steps, std::move(step));
 }
 
 // ------------------------------------------------------------- jacobi --
@@ -196,21 +212,25 @@ arch::WorkloadProfile JacobiWorkload::cpu_profile() const {
   return profiles::jacobi();
 }
 
-std::vector<sim::Program> JacobiWorkload::build(
+std::unique_ptr<OpStream> JacobiWorkload::stream(
     const BuildContext& ctx) const {
   validate(ctx);
   SOC_CHECK(ctx.ranks == ctx.nodes, "jacobi runs one rank per node");
   const int p = ctx.ranks;
   const auto g = static_cast<std::size_t>(
       static_cast<double>(grid_) * std::sqrt(ctx.size_scale));
-  msg::ProgramSet ps(p);
 
   const double points = static_cast<double>(g) * static_cast<double>(g) / p;
   const Bytes face = static_cast<Bytes>(g) * 8;
-  for (int it = 0; it < iterations_; ++it) {
+  const bool overlap = ctx.overlap_halos && p > 1;
+  const std::vector<double> jitter = imbalance_factors(name(), p, 0.03);
+
+  // One step per sweep.
+  auto step = [p, points, face, overlap, jitter, mm = ctx.mem_model](
+                  int it, msg::ProgramSet& ps) {
     if (it % 25 == 0) ps.begin_phase();
 
-    if (ctx.overlap_halos && p > 1) {
+    if (overlap) {
       // Post the halo traffic, sweep the interior while it flies, then
       // wait and finish the boundary rows.
       for (int parity = 0; parity < 2; ++parity) {
@@ -220,27 +240,25 @@ std::vector<sim::Program> JacobiWorkload::build(
       }
       constexpr double kInterior = 0.96;
       for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r, 0.03);
-        const double flops = 6.0 * points * jitter;
+        const double flops = 6.0 * points * jitter[static_cast<std::size_t>(r)];
         ps.add(r, sim::gpu_op(flops * kInterior,
                               static_cast<Bytes>(flops * kInterior / 0.25),
-                              ctx.mem_model, ps.phase(), points));
+                              mm, ps.phase(), points));
         ps.wait_all(r);
         ps.add(r,
                sim::gpu_op(flops * (1.0 - kInterior),
                            static_cast<Bytes>(flops * (1.0 - kInterior) /
                                               0.25),
-                           ctx.mem_model, ps.phase(), points * 0.04));
+                           mm, ps.phase(), points * 0.04));
       }
     } else {
       // One sweep on the GPU: 6 flops/point at operational intensity 0.25.
       for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r, 0.03);
-        const double flops = 6.0 * points * jitter;
-        ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / 0.25),
-                              ctx.mem_model, ps.phase(), points));
+        const double flops = 6.0 * points * jitter[static_cast<std::size_t>(r)];
+        ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / 0.25), mm,
+                              ps.phase(), points));
       }
-      if (p > 1) halo_exchange_1d(ps, face, ctx.mem_model);
+      if (p > 1) halo_exchange_1d(ps, face, mm);
     }
 
     // Convergence check every 10 sweeps: device dot + allreduce.
@@ -250,8 +268,8 @@ std::vector<sim::Program> JacobiWorkload::build(
       }
       if (p > 1) msg::allreduce(ps, 8);
     }
-  }
-  return ps.take();
+  };
+  return std::make_unique<StepStream>(p, iterations_, std::move(step));
 }
 
 // --------------------------------------------------------- cloverleaf --
@@ -265,30 +283,34 @@ arch::WorkloadProfile CloverLeafWorkload::cpu_profile() const {
   return profiles::cloverleaf();
 }
 
-std::vector<sim::Program> CloverLeafWorkload::build(
+std::unique_ptr<OpStream> CloverLeafWorkload::stream(
     const BuildContext& ctx) const {
   validate(ctx);
   SOC_CHECK(ctx.ranks == ctx.nodes, "cloverleaf runs one rank per node");
   const int p = ctx.ranks;
   const auto g = static_cast<std::size_t>(
       static_cast<double>(grid_) * std::sqrt(ctx.size_scale));
-  msg::ProgramSet ps(p);
 
   const double points = static_cast<double>(g) * static_cast<double>(g) / p;
-  const int kernels_per_step = 8;
-  const double flops_per_point = 60.0;
+  constexpr int kKernelsPerStep = 8;
+  constexpr double kFlopsPerPoint = 60.0;
   // Six conserved/auxiliary fields exchange halos every step.
   const Bytes halo = static_cast<Bytes>(g) * 8 * 6;
+  // Jitter per (rank, kernel): index r * 8 + k.
+  const std::vector<double> jitter =
+      imbalance_factors(name(), p * kKernelsPerStep, 0.08);
 
-  for (int step = 0; step < steps_; ++step) {
-    if (step % 10 == 0) ps.begin_phase();
-    for (int k = 0; k < kernels_per_step; ++k) {
+  // One step per timestep.
+  auto step = [p, points, halo, jitter, mm = ctx.mem_model](
+                  int step_index, msg::ProgramSet& ps) {
+    if (step_index % 10 == 0) ps.begin_phase();
+    for (int k = 0; k < kKernelsPerStep; ++k) {
       for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r * 8 + k, 0.08);
         const double flops =
-            points * flops_per_point / kernels_per_step * jitter;
-        ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / 0.3),
-                              ctx.mem_model, ps.phase(), points));
+            points * kFlopsPerPoint / kKernelsPerStep *
+            jitter[static_cast<std::size_t>(r * kKernelsPerStep + k)];
+        ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / 0.3), mm,
+                              ps.phase(), points));
         // Host control flow between kernels: partially size-dependent
         // (field summaries) plus a fixed driver cost — the serialization
         // term that caps cloverleaf's scalability.
@@ -296,16 +318,14 @@ std::vector<sim::Program> CloverLeafWorkload::build(
                               static_cast<Bytes>(points), /*profile=*/0));
       }
     }
-    if (p > 1) halo_exchange_1d(ps, halo, ctx.mem_model);
+    if (p > 1) halo_exchange_1d(ps, halo, mm);
 
     // Two full field snapshots move host<->device per step (viscosity /
     // summary checks in the reference port) — pure host/device sync.
-    if (ctx.mem_model == sim::MemModel::kHostDevice) {
+    if (mm == sim::MemModel::kHostDevice) {
       for (int r = 0; r < p; ++r) {
-        ps.add(r, sim::copy_d2h_op(static_cast<Bytes>(points * 8.0),
-                                   ctx.mem_model));
-        ps.add(r, sim::copy_h2d_op(static_cast<Bytes>(points * 8.0),
-                                   ctx.mem_model));
+        ps.add(r, sim::copy_d2h_op(static_cast<Bytes>(points * 8.0), mm));
+        ps.add(r, sim::copy_h2d_op(static_cast<Bytes>(points * 8.0), mm));
       }
     }
 
@@ -314,8 +334,8 @@ std::vector<sim::Program> CloverLeafWorkload::build(
       ps.add(r, sim::cpu_op(4e5, 1e5, 32 * kKiB, /*profile=*/0));
     }
     if (p > 1) msg::allreduce(ps, 8);
-  }
-  return ps.take();
+  };
+  return std::make_unique<StepStream>(p, steps_, std::move(step));
 }
 
 // -------------------------------------------------------------- tealeaf --
@@ -335,7 +355,7 @@ arch::WorkloadProfile TeaLeafWorkload::cpu_profile() const {
   return profiles::tealeaf();
 }
 
-std::vector<sim::Program> TeaLeafWorkload::build(
+std::unique_ptr<OpStream> TeaLeafWorkload::stream(
     const BuildContext& ctx) const {
   validate(ctx);
   SOC_CHECK(ctx.ranks == ctx.nodes, "tealeaf runs one rank per node");
@@ -344,53 +364,52 @@ std::vector<sim::Program> TeaLeafWorkload::build(
                                   : std::cbrt(ctx.size_scale);
   const auto e = static_cast<std::size_t>(static_cast<double>(extent_) *
                                           scale);
-  msg::ProgramSet ps(p);
 
   const double points = std::pow(static_cast<double>(e), dims_) / p;
   const Bytes face =
       dims_ == 2 ? static_cast<Bytes>(e) * 8
                  : static_cast<Bytes>(e) * static_cast<Bytes>(e) * 8;
   const double oi = dims_ == 2 ? 0.22 : 0.20;
+  const bool overlap = ctx.overlap_halos && p > 1;
+  const std::vector<double> jitter = imbalance_factors(name(), p, 0.12);
 
-  for (int step = 0; step < timesteps_; ++step) {
-    ps.begin_phase();
-    for (int it = 0; it < cg_iterations_; ++it) {
-      const bool overlap = ctx.overlap_halos && p > 1;
-      if (overlap) {
-        for (int parity = 0; parity < 2; ++parity) {
-          for (int r = parity; r + 1 < p; r += 2) {
-            ps.exchange_async(r, r + 1, face);
-          }
+  // One step per CG iteration; each timestep opens a phase.
+  auto step = [p, points, face, oi, overlap, jitter, mm = ctx.mem_model,
+               cg_iterations = cg_iterations_](int k, msg::ProgramSet& ps) {
+    if (k % cg_iterations == 0) ps.begin_phase();
+    if (overlap) {
+      for (int parity = 0; parity < 2; ++parity) {
+        for (int r = parity; r + 1 < p; r += 2) {
+          ps.exchange_async(r, r + 1, face);
         }
-      }
-      // SpMV + axpys on the GPU: ~16 flops/point (7/5-point operator).
-      for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r, 0.12);
-        const double flops = 16.0 * points * jitter;
-        ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / oi),
-                              ctx.mem_model, ps.phase(), points));
-        // The unoptimized CUDA port syncs a large slice of the solution
-        // vector between host and device every CG step — the host/device
-        // serialization the paper's Ser factor exposes.
-        if (ctx.mem_model == sim::MemModel::kHostDevice) {
-          ps.add(r, sim::copy_d2h_op(static_cast<Bytes>(points * 4.0),
-                                     ctx.mem_model));
-        }
-        if (overlap) ps.wait_all(r);
-      }
-      if (!overlap && p > 1) halo_exchange_1d(ps, face, ctx.mem_model);
-
-      // Two dot products per CG iteration — each a cluster allreduce.
-      for (int r = 0; r < p; ++r) {
-        ps.add(r, sim::cpu_op(3e5, 1e5, 16 * kKiB, /*profile=*/0));
-      }
-      if (p > 1) {
-        msg::allreduce(ps, 8);
-        msg::allreduce(ps, 8);
       }
     }
-  }
-  return ps.take();
+    // SpMV + axpys on the GPU: ~16 flops/point (7/5-point operator).
+    for (int r = 0; r < p; ++r) {
+      const double flops = 16.0 * points * jitter[static_cast<std::size_t>(r)];
+      ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / oi), mm,
+                            ps.phase(), points));
+      // The unoptimized CUDA port syncs a large slice of the solution
+      // vector between host and device every CG step — the host/device
+      // serialization the paper's Ser factor exposes.
+      if (mm == sim::MemModel::kHostDevice) {
+        ps.add(r, sim::copy_d2h_op(static_cast<Bytes>(points * 4.0), mm));
+      }
+      if (overlap) ps.wait_all(r);
+    }
+    if (!overlap && p > 1) halo_exchange_1d(ps, face, mm);
+
+    // Two dot products per CG iteration — each a cluster allreduce.
+    for (int r = 0; r < p; ++r) {
+      ps.add(r, sim::cpu_op(3e5, 1e5, 16 * kKiB, /*profile=*/0));
+    }
+    if (p > 1) {
+      msg::allreduce(ps, 8);
+      msg::allreduce(ps, 8);
+    }
+  };
+  return std::make_unique<StepStream>(p, timesteps_ * cg_iterations_,
+                                      std::move(step));
 }
 
 TeaLeafWorkload tealeaf2d_default() {

@@ -23,7 +23,7 @@ class HplWorkload : public Workload {
   std::string name() const override { return "hpl"; }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<OpStream> stream(const BuildContext& ctx) const override;
 
   /// Total factorization FLOPs for the configured order.
   double total_flops() const;
@@ -41,7 +41,7 @@ class JacobiWorkload : public Workload {
   std::string name() const override { return "jacobi"; }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<OpStream> stream(const BuildContext& ctx) const override;
 
  private:
   std::size_t grid_;
@@ -57,7 +57,7 @@ class CloverLeafWorkload : public Workload {
   std::string name() const override { return "cloverleaf"; }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<OpStream> stream(const BuildContext& ctx) const override;
 
  private:
   std::size_t grid_;
@@ -76,7 +76,7 @@ class TeaLeafWorkload : public Workload {
   }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<OpStream> stream(const BuildContext& ctx) const override;
 
  private:
   int dims_;
@@ -92,5 +92,9 @@ TeaLeafWorkload tealeaf3d_default();
 /// Deterministic per-rank load-imbalance multiplier in
 /// [1−amount, 1+amount], keyed by workload name and rank.
 double imbalance_factor(const std::string& workload, int rank, double amount);
+
+/// imbalance_factor for ranks 0..count-1, computed once per stream.
+std::vector<double> imbalance_factors(const std::string& workload, int count,
+                                      double amount);
 
 }  // namespace soc::workloads

@@ -15,8 +15,17 @@ void validate(const BuildContext& ctx) {
   SOC_CHECK(ctx.size_scale > 0.0, "BuildContext.size_scale must be > 0");
 }
 
-std::unique_ptr<OpStream> Workload::stream(const BuildContext& ctx) const {
-  return std::make_unique<ProgramWalkStream>(*this, ctx);
+std::vector<sim::Program> Workload::build(const BuildContext& ctx) const {
+  const std::unique_ptr<OpStream> source = stream(ctx);
+  std::vector<sim::Program> programs(
+      static_cast<std::size_t>(source->ranks()));
+  for (int r = 0; r < source->ranks(); ++r) {
+    for (sim::Op op = source->get_next(r, 0); op.kind != sim::OpKind::kEnd;
+         op = source->get_next(r, 0)) {
+      programs[static_cast<std::size_t>(r)].push_back(op);
+    }
+  }
+  return programs;
 }
 
 }  // namespace soc::workloads

@@ -3,9 +3,15 @@
 // Every benchmark of Table I (ClusterSoCBench) and the NPB suite is a
 // Workload: it owns (a) a microarchitectural profile for its host-side
 // code, (b) a generator that lowers the benchmark's computation and
-// communication structure into per-rank programs, and for the scientific
-// codes (c) a small functional kernel (workloads/kernels/) proving the
-// numerics the generator's FLOP formulas describe.
+// communication structure into per-rank op streams, and for the
+// scientific codes (c) a small functional kernel (workloads/kernels/)
+// proving the numerics the generator's FLOP formulas describe.
+//
+// Generators are step-wise: stream() computes the run's constants once
+// and returns a StepStream (workloads/op_stream.h) that emits one outer
+// iteration at a time as the engine pulls, so a run never holds more of
+// its programs than the ranks have yet to execute.  build() drains that
+// same stream into whole programs for callers that need them up front.
 #pragma once
 
 #include <memory>
@@ -52,16 +58,14 @@ class Workload {
   /// generated CPU ops reference).
   virtual arch::WorkloadProfile cpu_profile() const = 0;
 
-  /// Generates one program per rank.  Compatibility shim: the engine
-  /// consumes streams (see stream()); build() remains for callers that
-  /// need whole programs up front (trace export, calibration probes).
-  virtual std::vector<sim::Program> build(const BuildContext& ctx) const = 0;
+  /// The pull-based form every runner consumes: validates `ctx`, then
+  /// generates ops one step at a time as ranks pull them.
+  virtual std::unique_ptr<OpStream> stream(const BuildContext& ctx) const = 0;
 
-  /// The pull-based form every runner consumes.  The default adapter
-  /// walks build()'s programs lazily (generation is deferred until the
-  /// first pull), and produces the byte-identical committed event stream
-  /// and event_checksum as replaying build()'s output directly.
-  virtual std::unique_ptr<OpStream> stream(const BuildContext& ctx) const;
+  /// Whole programs, one per rank: drains stream(ctx) rank by rank (trace
+  /// export, the perf harness, tests).  Replaying them commits the same
+  /// events as running the stream.
+  virtual std::vector<sim::Program> build(const BuildContext& ctx) const;
 };
 
 /// All GPGPU-accelerated workloads of Table I, in paper order:

@@ -2,6 +2,7 @@
 // command-line usage errors.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -211,6 +212,84 @@ TEST(FlatMap, ClearKeepsNothingButStaysUsable) {
   EXPECT_EQ(m.find(5), nullptr);
   m[5] = 50;
   ASSERT_NE(m.find(5), nullptr);
+  EXPECT_EQ(*m.find(5), 50);
+}
+
+// Sends every key to one of the last three slots of a 16-slot table, so
+// probe runs wrap past the end of the table and collide constantly.
+struct TailHash {
+  std::uint64_t operator()(int key) const {
+    return 13 + static_cast<std::uint64_t>(key % 3);
+  }
+};
+
+// Random insert/find/erase against a std::map oracle.  At most 10 live
+// keys keep the table at its 16-slot minimum (growth starts at 0.7 load),
+// so backward-shift deletion runs on wrapped, overlapping probe runs.
+template <typename Hash>
+void check_against_oracle(std::uint64_t seed) {
+  flat_map<int, int, Hash> m;
+  std::map<int, int> oracle;
+  Rng rng(seed);
+  for (int step = 0; step < 20000; ++step) {
+    const int key = static_cast<int>(rng.next_below(40));
+    const std::uint64_t action = rng.next_below(3);
+    if (action == 0 && oracle.size() < 10) {
+      m[key] = step;
+      oracle[key] = step;
+    } else if (action == 1) {
+      EXPECT_EQ(m.erase(key), oracle.erase(key) == 1) << "step " << step;
+    } else {
+      const int* found = m.find(key);
+      const auto it = oracle.find(key);
+      ASSERT_EQ(found != nullptr, it != oracle.end()) << "step " << step;
+      if (found != nullptr) {
+        EXPECT_EQ(*found, it->second) << "step " << step;
+      }
+    }
+    ASSERT_EQ(m.size(), oracle.size()) << "step " << step;
+  }
+  // Every key, present or not, still resolves as the oracle says.
+  for (int key = 0; key < 40; ++key) {
+    const int* found = m.find(key);
+    ASSERT_EQ(found != nullptr, oracle.count(key) == 1) << key;
+    if (found != nullptr) {
+      EXPECT_EQ(*found, oracle.at(key)) << key;
+    }
+  }
+}
+
+TEST(FlatMap, EraseMatchesStdMapOnWrappedProbeRuns) {
+  check_against_oracle<TailHash>(1);
+  check_against_oracle<TailHash>(2);
+  check_against_oracle<FlatMapHash<int>>(3);
+}
+
+TEST(FlatMap, EraseOfAbsentKeyIsANoOp) {
+  flat_map<int, int> m;
+  EXPECT_FALSE(m.erase(4));  // empty table, no slots yet
+  m[1] = 10;
+  m[2] = 20;
+  EXPECT_FALSE(m.erase(4));
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(*m.find(1), 10);
+  EXPECT_EQ(*m.find(2), 20);
+}
+
+TEST(FlatMap, SizeReturnsToZeroWhenAllKeysDrain) {
+  flat_map<int, int> m;
+  for (int i = 0; i < 1000; ++i) m[i * 7] = i;  // several rehashes
+  for (int i = 999; i >= 0; i -= 2) EXPECT_TRUE(m.erase(i * 7));
+  EXPECT_EQ(m.size(), 500u);
+  for (int i = 0; i < 1000; i += 2) {
+    ASSERT_NE(m.find(i * 7), nullptr) << i;
+    EXPECT_EQ(*m.find(i * 7), i);
+    EXPECT_TRUE(m.erase(i * 7));
+  }
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.begin(), m.end());
+  m[5] = 50;  // still usable after draining
   EXPECT_EQ(*m.find(5), 50);
 }
 

@@ -451,5 +451,36 @@ TEST(Engine, MultipleMessagesSameTagFifoOrder) {
   EXPECT_EQ(stats.ranks[1].messages_received, 2);
 }
 
+// Tags that agree in their low 21 bits are still different messages.
+// Rank 1 receives the later, larger message first: its receive must wait
+// for that message, not complete on the earlier small one.
+TEST(Engine, TagsDifferingAboveBit21DoNotAlias) {
+  FixedCostModel cost;
+  EngineConfig config;
+  config.eager_threshold = 1 * kMiB;
+  Engine engine(Placement::block(2, 2), cost, config);
+  constexpr int kTag = 5;
+  constexpr int kAliasTag = kTag + (1 << 21);
+  constexpr Bytes kLarge = 500'000;  // 0.5 ms on the wire at 1 GB/s
+  std::vector<Program> programs(2);
+  programs[0] = {send_op(1, 100, kTag), send_op(1, kLarge, kAliasTag)};
+  programs[1] = {recv_op(0, kLarge, kAliasTag), cpu_op(1, 1, 0, 0),
+                 recv_op(0, 100, kTag)};
+  const RunStats stats = engine.run(programs);
+  // The large message cannot land before one latency plus its own wire
+  // time; rank 1's compute starts only after that.
+  EXPECT_GE(stats.ranks[1].finish_time,
+            cost.latency + transfer_time(kLarge, cost.bandwidth) +
+                cost.cpu_time);
+  EXPECT_EQ(stats.ranks[1].messages_received, 2);
+}
+
+TEST(Engine, MessageKeyKeepsFullTag) {
+  EXPECT_NE(message_key(0, 1, 5), message_key(0, 1, 5 + (1 << 21)));
+  EXPECT_NE(message_key(0, 1, 5), message_key(1, 0, 5));
+  EXPECT_NE(message_key(65535, 0, 0), message_key(0, 65535, 0));
+  EXPECT_EQ(message_key(2, 3, 7), message_key(2, 3, 7));
+}
+
 }  // namespace
 }  // namespace soc::sim

@@ -15,6 +15,7 @@
 #include "cluster/cluster.h"
 #include "cluster/report.h"
 #include "common/error.h"
+#include "msg/program_set.h"
 #include "net/network.h"
 #include "prof/critical_path.h"
 #include "prof/profile.h"
@@ -65,9 +66,10 @@ std::string error_message(Fn&& fn) {
 
 // --- stream-vs-build parity ----------------------------------------------
 
-// The lazy program-walking adapter must commit the byte-identical event
-// stream the pre-built std::vector<Program> path commits, for every
-// registered workload.  This is the API redesign's core contract.
+// The step-wise stream must commit the byte-identical event stream the
+// pre-built std::vector<Program> path commits, for every registered
+// workload.  build() drains stream(), so this holds by construction; the
+// op-sequence digests in workloads_test.cpp are the independent check.
 TEST(OpStream, StreamMatchesBuildForEveryWorkload) {
   for (const std::string& name : workloads::list()) {
     const auto workload = workloads::make_workload(name);
@@ -92,6 +94,32 @@ TEST(OpStream, StreamMatchesBuildForEveryWorkload) {
     EXPECT_EQ(a.events_committed, b.events_committed) << name;
     EXPECT_EQ(a.makespan, b.makespan) << name;
   }
+}
+
+// Steps are generated on demand, in order, and only when the pulling
+// rank has run dry; a step may leave a rank empty (the stream then steps
+// on), and an exhausted rank keeps returning kEnd.
+TEST(OpStream, StepStreamGeneratesStepsOnDemand) {
+  int emitted = 0;
+  workloads::StepStream stream(2, 3, [&emitted](int step, msg::ProgramSet& ps) {
+    EXPECT_EQ(step, emitted);
+    ++emitted;
+    ps.add(0, sim::delay_op(step));
+    if (step == 2) ps.add(1, sim::delay_op(10.0));
+  });
+  EXPECT_EQ(emitted, 0);  // construction generates nothing
+  EXPECT_EQ(stream.get_next(0, 0).delay_seconds, 0.0);
+  EXPECT_EQ(emitted, 1);
+  // Rank 1 has nothing until step 2, so its first pull runs steps 1 and 2.
+  EXPECT_EQ(stream.get_next(1, 0).delay_seconds, 10.0);
+  EXPECT_EQ(emitted, 3);
+  EXPECT_EQ(stream.get_next(1, 0).kind, sim::OpKind::kEnd);
+  // Rank 0's unread ops survived the compaction that step 2 triggered.
+  EXPECT_EQ(stream.get_next(0, 0).delay_seconds, 1.0);
+  EXPECT_EQ(stream.get_next(0, 0).delay_seconds, 2.0);
+  EXPECT_EQ(stream.get_next(0, 0).kind, sim::OpKind::kEnd);
+  EXPECT_EQ(stream.get_next(0, 0).kind, sim::OpKind::kEnd);
+  EXPECT_EQ(emitted, 3);
 }
 
 // An empty scenario wraps nothing: apply_scenarios returns the inner

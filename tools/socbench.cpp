@@ -163,6 +163,28 @@ int natural_ranks(const workloads::Workload& w, int nodes) {
   return sweep::natural_ranks(w, nodes);
 }
 
+/// --ranks, or the workload's natural count when absent.  A count the
+/// cluster cannot place (not a positive multiple of the node count, or
+/// more ranks per node than cores) is a usage error.
+int ranks_from(const ArgParser& args, const workloads::Workload& w, int nodes,
+               const systems::NodeConfig& node) {
+  if (!args.given("--ranks")) return natural_ranks(w, nodes);
+  const int ranks = args.get_int("--ranks");
+  if (ranks < nodes || ranks % nodes != 0) {
+    throw UsageError("--ranks must be a positive multiple of --nodes (" +
+                     std::to_string(nodes) + "), got " +
+                     std::to_string(ranks));
+  }
+  if (ranks / nodes > node.cpu_cores) {
+    throw UsageError("--ranks " + std::to_string(ranks) + " on " +
+                     std::to_string(nodes) + " node(s) needs " +
+                     std::to_string(ranks / nodes) +
+                     " ranks per node, but a node has " +
+                     std::to_string(node.cpu_cores) + " cores");
+  }
+  return ranks;
+}
+
 void print_result(const cluster::RunResult& r, const systems::NodeConfig& node,
                   int nodes, bool dp) {
   std::printf("runtime        : %.3f s\n", r.seconds);
@@ -259,9 +281,8 @@ workloads::ScenarioConfig scenario_from(const ArgParser& args) {
 bool audit_workload(const std::string& name, const ArgParser& args) {
   const auto workload = workloads::make_workload(name);
   const int nodes = nodes_from(args);
-  const int ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                          : natural_ranks(*workload, nodes);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
+  const int ranks = ranks_from(args, *workload, nodes, node);
   const int repeats = args.get_int("--repeats");
   SOC_CHECK(repeats >= 2, "--repeats must be at least 2");
 
@@ -324,9 +345,8 @@ int cmd_run(const ArgParser& args) {
   if (args.get_bool("--audit-determinism")) return cmd_audit(args);
   const auto workload = workload_from(args);
   const int nodes = nodes_from(args);
-  const int ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                          : natural_ranks(*workload, nodes);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
+  const int ranks = ranks_from(args, *workload, nodes, node);
 
   // Observability: attach only what the flags ask for, so the default
   // run keeps the engine's no-observer fast path.
@@ -558,9 +578,8 @@ int cmd_decompose(const ArgParser& args) {
 int cmd_explain(const ArgParser& args) {
   const auto workload = workload_from(args);
   const int nodes = nodes_from(args);
-  const int ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                          : natural_ranks(*workload, nodes);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
+  const int ranks = ranks_from(args, *workload, nodes, node);
 
   cluster::RunRequest request;
   request.workload = workload->name();
@@ -709,8 +728,8 @@ int cmd_trace(const ArgParser& args) {
   const int nodes = nodes_from(args);
   workloads::BuildContext ctx;
   ctx.nodes = nodes;
-  ctx.ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                    : natural_ranks(*workload, nodes);
+  ctx.ranks = ranks_from(args, *workload, nodes,
+                         systems::jetson_tx1(parse_nic(args.get("--nic"))));
   ctx.size_scale = args.get_double("--scale");
   ctx.mem_model = parse_mem_model(args.get("--mem-model"));
   ctx.gpu_work_fraction = args.get_double("--gpu-fraction");
