@@ -1,8 +1,10 @@
 #include "sim/memo_cost.h"
 
+#include <algorithm>
 #include <bit>
+#include <initializer_list>
 
-#include "common/hash.h"
+#include "common/error.h"
 
 namespace soc::sim {
 
@@ -14,6 +16,15 @@ std::uint64_t pack_path(int src_node, int dst_node) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_node))
           << 32) |
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_node));
+}
+
+// Folds 64-bit words into one hash, one splitmix64 round (FlatMapHash)
+// per word.  The round is a bijection, so keys that differ only in their
+// last word never share a 64-bit hash.
+std::uint64_t hash_words(std::initializer_list<std::uint64_t> words) {
+  std::uint64_t h = 0;
+  for (const std::uint64_t w : words) h = FlatMapHash<std::uint64_t>{}(h ^ w);
+  return h;
 }
 
 // Scoped lock that engages only when the memo is shared between threads
@@ -38,35 +49,26 @@ class OptionalLock {
 }  // namespace
 
 std::uint64_t MemoCostModel::CpuKeyHash::operator()(const CpuKey& k) const {
-  return Fnv1a{}
-      .mix_u64(k.instructions_bits)
-      .mix_u64(k.flops_bits)
-      .mix_i64(k.dram_bytes)
-      .mix_u64(static_cast<std::uint32_t>(k.profile))
-      .value();
+  return hash_words({k.instructions_bits, k.flops_bits,
+                     static_cast<std::uint64_t>(k.dram_bytes),
+                     static_cast<std::uint32_t>(k.profile)});
 }
 
 std::uint64_t MemoCostModel::GpuKeyHash::operator()(const GpuKey& k) const {
-  return Fnv1a{}
-      .mix_u64(k.flops_bits)
-      .mix_u64(k.parallelism_bits)
-      .mix_i64(k.dram_bytes)
-      .mix_byte(k.mem_model)
-      .mix_byte(k.double_precision ? 1 : 0)
-      .value();
+  return hash_words({k.flops_bits, k.parallelism_bits,
+                     static_cast<std::uint64_t>(k.dram_bytes),
+                     (std::uint64_t{k.mem_model} << 8) |
+                         (k.double_precision ? 1u : 0u)});
 }
 
 std::uint64_t MemoCostModel::CopyKeyHash::operator()(const CopyKey& k) const {
-  return Fnv1a{}
-      .mix_i64(k.bytes)
-      .mix_byte(k.kind)
-      .mix_byte(k.mem_model)
-      .value();
+  return hash_words({static_cast<std::uint64_t>(k.bytes),
+                     (std::uint64_t{k.kind} << 8) | k.mem_model});
 }
 
 std::uint64_t MemoCostModel::TransferKeyHash::operator()(
     const TransferKey& k) const {
-  return Fnv1a{}.mix_u64(k.path).mix_i64(k.bytes).value();
+  return hash_words({k.path, static_cast<std::uint64_t>(k.bytes)});
 }
 
 MemoCostModel::MemoCostModel(const CostModel& base, bool thread_safe)
@@ -118,9 +120,28 @@ SimTime MemoCostModel::copy_time(int rank, const Op& op) const {
   return slot.value;
 }
 
+void MemoCostModel::grow_latency(std::size_t dim) const {
+  std::vector<Slot> wider(dim * dim);
+  for (std::size_t src = 0; src < latency_dim_; ++src) {
+    const Slot* row = latency_.data() + src * latency_dim_;
+    std::copy(row, row + latency_dim_, wider.data() + src * dim);
+  }
+  latency_ = std::move(wider);
+  latency_dim_ = dim;
+}
+
 SimTime MemoCostModel::message_latency(int src_node, int dst_node) const {
   const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
-  Slot& slot = latency_[pack_path(src_node, dst_node)];
+  const std::size_t src = static_cast<std::size_t>(src_node);
+  const std::size_t dst = static_cast<std::size_t>(dst_node);
+  const std::size_t largest = std::max(src, dst);
+  if (largest >= latency_dim_) {
+    SOC_CHECK(src_node >= 0 && dst_node >= 0, "negative node id");
+    // Power-of-two widths keep the total copying linear in the final
+    // table size when node ids arrive in ascending order.
+    grow_latency(std::bit_ceil(largest + 1));
+  }
+  Slot& slot = latency_[src * latency_dim_ + dst];
   if (!slot.known) {
     slot.value = base_.message_latency(src_node, dst_node);
     slot.known = true;

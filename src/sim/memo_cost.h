@@ -13,6 +13,13 @@
 // read — and the caches store full keys, compared by equality on lookup.
 // A hash collision can therefore cost an extra probe but can never return
 // the wrong duration.
+//
+// Lookups run millions of times per run (cg@64 makes 5 M transfer
+// lookups), so they are kept cheap.  The per-rank overheads and the
+// per-(src_node, dst_node) latency live in dense tables that grow on
+// demand, with no hashing at all.  The op-shaped keys hash word by word
+// (one splitmix64 round per 64-bit word, like FlatMapHash) rather than
+// byte by byte.
 #pragma once
 
 #include <vector>
@@ -104,6 +111,8 @@ class MemoCostModel : public CostModel {
 
   SimTime overhead_for(int rank, std::vector<Slot>& cache,
                        SimTime (CostModel::*method)(int) const) const;
+  /// Widens latency_ to cover node ids below `dim`, keeping its entries.
+  void grow_latency(std::size_t dim) const;
 
   const CostModel& base_;
   // The evaluation caches are mutable so the const CostModel interface
@@ -117,7 +126,10 @@ class MemoCostModel : public CostModel {
   mutable flat_map<CpuKey, Slot, CpuKeyHash> cpu_;       // SOC_SHARED(mu_ when thread_safe)
   mutable flat_map<GpuKey, Slot, GpuKeyHash> gpu_;       // SOC_SHARED(mu_ when thread_safe)
   mutable flat_map<CopyKey, Slot, CopyKeyHash> copy_;    // SOC_SHARED(mu_ when thread_safe)
-  mutable flat_map<std::uint64_t, Slot> latency_;        // SOC_SHARED(mu_ when thread_safe)
+  /// Row-major [src_node][dst_node], latency_dim_ × latency_dim_ (a power
+  /// of two), grown on demand.
+  mutable std::vector<Slot> latency_;    // SOC_SHARED(mu_ when thread_safe)
+  mutable std::size_t latency_dim_ = 0;  // SOC_SHARED(mu_ when thread_safe)
   mutable flat_map<TransferKey, Slot, TransferKeyHash> transfer_;  // SOC_SHARED(mu_ when thread_safe)
   mutable std::vector<Slot> send_overhead_;  ///< Indexed by rank.  SOC_SHARED(mu_ when thread_safe)
   mutable std::vector<Slot> recv_overhead_;  // SOC_SHARED(mu_ when thread_safe)

@@ -3,11 +3,19 @@
 // scenarios, accounting, determinism, failure modes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
+#include "sim/memo_cost.h"
 #include "sim/op.h"
 
 namespace soc::sim {
@@ -137,6 +145,100 @@ TEST(EventQueue, ReserveDoesNotChangeOrder) {
     EXPECT_EQ(a.payload, b.payload);
   }
   EXPECT_TRUE(big.empty());
+}
+
+TEST(EventQueue, TopEmptyThrows) {
+  KeyedEventQueue q;
+  EXPECT_THROW(q.top(), Error);
+  q.push(1, 0, 0);
+  q.pop();  // leaves the popped slot open
+  EXPECT_THROW(q.top(), Error);
+  EXPECT_TRUE(q.empty());
+}
+
+// A pop leaves a hole that the next push fills; size() never counts it.
+TEST(EventQueue, SizeExcludesPoppedHole) {
+  KeyedEventQueue q;
+  q.push(4, 0, 0);
+  q.push(4, 1, 1);
+  EXPECT_EQ(q.pop().payload, 0);
+  EXPECT_EQ(q.size(), 1u);
+  q.push(3, 2, 2);  // fills the hole, and is now the earliest
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.top().payload, 2);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.push(9, 0, 9);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().payload, 9);
+}
+
+// Randomized oracle: the queue against a std::set ordered by (time, key)
+// over thousands of interleaved calls.  Times come from a narrow window
+// so most events tie on time, and the call mix makes pop->push,
+// pop->pop and pop->top sequences common.  Push-heavy and pop-heavy
+// phases alternate, so the heap repeatedly fills to 256 events (eight
+// levels) and drains to empty.  Keys are unique among queued events, as
+// the engine guarantees.
+TEST(EventQueue, MatchesOrderedSetOracle) {
+  using Entry = std::tuple<SimTime, std::uint64_t, std::int32_t>;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    KeyedEventQueue q;
+    std::set<Entry> oracle;
+    std::set<std::uint64_t> live_keys;
+    SimTime now = 0;
+    std::int32_t next_payload = 0;
+    int after_pop[3] = {0, 0, 0};  // push, pop, top right after a pop
+    bool last_was_pop = false;
+    std::size_t largest = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t push_below = (step / 2000) % 2 == 0 ? 5 : 3;
+      const std::uint64_t action = rng.next_below(10);
+      if (action < push_below || oracle.empty()) {
+        if (live_keys.size() == 256) continue;  // every key is in use
+        std::uint64_t key = rng.next_below(256);
+        while (live_keys.count(key) != 0) key = (key + 1) % 256;
+        const SimTime t = now + static_cast<SimTime>(rng.next_below(3));
+        q.push(t, key, next_payload);
+        oracle.emplace(t, key, next_payload);
+        live_keys.insert(key);
+        ++next_payload;
+        if (last_was_pop) ++after_pop[0];
+        last_was_pop = false;
+      } else if (action < 8) {
+        const KeyedEvent e = q.pop();
+        const Entry want = *oracle.begin();
+        ASSERT_EQ(e.time, std::get<0>(want)) << "seed " << seed;
+        ASSERT_EQ(e.key, std::get<1>(want)) << "seed " << seed;
+        ASSERT_EQ(e.payload, std::get<2>(want)) << "seed " << seed;
+        oracle.erase(oracle.begin());
+        live_keys.erase(e.key);
+        now = e.time;  // later pushes land at or after the popped time
+        if (last_was_pop) ++after_pop[1];
+        last_was_pop = true;
+      } else {
+        const KeyedEvent& e = q.top();
+        const Entry want = *oracle.begin();
+        ASSERT_EQ(e.time, std::get<0>(want)) << "seed " << seed;
+        ASSERT_EQ(e.key, std::get<1>(want)) << "seed " << seed;
+        ASSERT_EQ(e.payload, std::get<2>(want)) << "seed " << seed;
+        if (last_was_pop) ++after_pop[2];
+        last_was_pop = false;
+      }
+      ASSERT_EQ(q.size(), oracle.size()) << "seed " << seed;
+      ASSERT_EQ(q.empty(), oracle.empty()) << "seed " << seed;
+      largest = std::max(largest, oracle.size());
+    }
+    while (!oracle.empty()) {
+      const KeyedEvent e = q.pop();
+      ASSERT_EQ(e.key, std::get<1>(*oracle.begin())) << "seed " << seed;
+      oracle.erase(oracle.begin());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(largest, 256u) << "seed " << seed;
+    for (const int n : after_pop) EXPECT_GT(n, 1000) << "seed " << seed;
+  }
 }
 
 TEST(Placement, BlockAssignsContiguously) {
@@ -480,6 +582,119 @@ TEST(Engine, MessageKeyKeepsFullTag) {
   EXPECT_NE(message_key(0, 1, 5), message_key(1, 0, 5));
   EXPECT_NE(message_key(65535, 0, 0), message_key(0, 65535, 0));
   EXPECT_EQ(message_key(2, 3, 7), message_key(2, 3, 7));
+}
+
+// Base model whose every answer is a distinct function of its inputs,
+// counting how often the memo forwards to it.
+class CountingCostModel : public CostModel {
+ public:
+  mutable int calls = 0;
+
+  SimTime cpu_compute_time(int, const Op& op) const override {
+    ++calls;
+    return static_cast<SimTime>(op.instructions) + op.profile;
+  }
+  SimTime gpu_kernel_time(int, const Op& op) const override {
+    ++calls;
+    return static_cast<SimTime>(op.flops) + (op.double_precision ? 1 : 0);
+  }
+  SimTime copy_time(int, const Op& op) const override {
+    ++calls;
+    return op.bytes * 3 + static_cast<SimTime>(op.mem_model) +
+           (op.kind == OpKind::kCopyD2H ? 1 : 0);
+  }
+  SimTime message_latency(int src, int dst) const override {
+    ++calls;
+    return 1000 * src + dst;
+  }
+  SimTime message_transfer_time(int src, int dst, Bytes bytes) const override {
+    ++calls;
+    return 1000000 * src + 1000 * dst + bytes;
+  }
+  SimTime send_overhead(int rank) const override {
+    ++calls;
+    return 7 * rank;
+  }
+  SimTime recv_overhead(int rank) const override {
+    ++calls;
+    return 11 * rank;
+  }
+  bool memoizable() const override { return true; }
+};
+
+// Node pairs arriving in descending order grow the latency table from
+// its largest corner first; src == dst is a pair like any other.  Every
+// answer equals the base model's, and hits/misses count first and
+// repeated evaluations exactly.
+TEST(MemoCostModel, DenseTablesMatchBaseAndCountHitsAndMisses) {
+  const CountingCostModel base;
+  const CountingCostModel truth;  // answers directly, for comparison
+  const MemoCostModel memo(base);
+  std::uint64_t misses = 0;
+  std::uint64_t hits = 0;
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int src = 9; src >= 0; --src) {
+      for (int dst = 9; dst >= 0; --dst) {
+        EXPECT_EQ(memo.message_latency(src, dst),
+                  truth.message_latency(src, dst));
+        for (const Bytes bytes : {Bytes{0}, Bytes{64}, Bytes{1} << 40}) {
+          EXPECT_EQ(memo.message_transfer_time(src, dst, bytes),
+                    truth.message_transfer_time(src, dst, bytes));
+        }
+      }
+    }
+    (pass == 0 ? misses : hits) += 10 * 10 * 4;
+  }
+  // An id equal to the table's width (16 after ids 0..9) widens it
+  // rather than aliasing row 4, a larger id widens it again, and no
+  // widening loses an entry.
+  EXPECT_EQ(memo.message_latency(3, 16), truth.message_latency(3, 16));
+  EXPECT_EQ(memo.message_latency(40, 3), truth.message_latency(40, 3));
+  EXPECT_EQ(memo.message_latency(3, 3), truth.message_latency(3, 3));
+  EXPECT_EQ(memo.message_latency(9, 9), truth.message_latency(9, 9));
+  misses += 2;
+  hits += 2;
+  EXPECT_THROW(memo.message_latency(-1, 0), Error);
+  EXPECT_THROW(memo.message_latency(0, -1), Error);
+
+  for (int rank = 5; rank >= 0; --rank) {
+    EXPECT_EQ(memo.send_overhead(rank), truth.send_overhead(rank));
+    EXPECT_EQ(memo.recv_overhead(rank), truth.recv_overhead(rank));
+    EXPECT_EQ(memo.send_overhead(rank), truth.send_overhead(rank));
+  }
+  misses += 6 * 2;
+  hits += 6;
+
+  // Ops that differ in one documented field each get their own entry.
+  const Op ops[] = {cpu_op(100, 10, 64, 3), cpu_op(100, 10, 64, 4),
+                    gpu_op(1e6, 0, MemModel::kUnified, 1, 512, true),
+                    gpu_op(1e6, 0, MemModel::kUnified, 1, 512, false),
+                    copy_h2d_op(4096, MemModel::kHostDevice),
+                    copy_h2d_op(4096, MemModel::kZeroCopy),
+                    copy_d2h_op(4096, MemModel::kHostDevice)};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Op& op : ops) {
+      switch (op.kind) {
+        case OpKind::kCpuCompute:
+          EXPECT_EQ(memo.cpu_compute_time(0, op),
+                    truth.cpu_compute_time(0, op));
+          break;
+        case OpKind::kGpuKernel:
+          EXPECT_EQ(memo.gpu_kernel_time(0, op),
+                    truth.gpu_kernel_time(0, op));
+          break;
+        default:
+          EXPECT_EQ(memo.copy_time(0, op), truth.copy_time(0, op));
+          break;
+      }
+    }
+    (pass == 0 ? misses : hits) += std::size(ops);
+  }
+
+  EXPECT_EQ(memo.misses(), misses);
+  EXPECT_EQ(memo.hits(), hits);
+  EXPECT_EQ(static_cast<std::uint64_t>(base.calls), misses);
 }
 
 }  // namespace

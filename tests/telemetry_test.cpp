@@ -23,6 +23,7 @@
 #include "net/network.h"
 #include "obs/engine_telemetry.h"
 #include "sim/telemetry.h"
+#include "sweep/grid.h"
 #include "systems/machines.h"
 #include "workloads/scenario.h"
 #include "workloads/workload.h"
@@ -134,6 +135,46 @@ TEST(Telemetry, StructureMatchesRunAndArtifactsRender) {
   tel.reset();
   EXPECT_EQ(tel.events_committed, 0u);
   EXPECT_TRUE(tel.shard.empty());
+}
+
+// The counters of `socbench run --workload W --nodes 4` (the defaults:
+// 10GbE, scale 1, host-device copies, natural rank count), which CI
+// compares across builds, pinned as literals.  The queue's high-water
+// mark counts queued events only, so a change to the heap's internals
+// cannot move it.
+TEST(Telemetry, CountersPinnedForFourNodeRuns) {
+  struct Pinned {
+    const char* workload;
+    std::uint64_t events_committed, events_processed, ops_fetched, wakes,
+        commit_records, arrival, rts, cts, queue_high_water;
+  };
+  const Pinned pinned[] = {
+      {"jacobi", 39244, 58204, 39240, 39004, 39244, 1200, 9000, 9000, 4},
+      {"cg", 286560, 405072, 286552, 285056, 286560, 60016, 30000, 30000, 9},
+  };
+  for (const Pinned& p : pinned) {
+    const auto w = workloads::make_workload(p.workload);
+    cluster::RunRequest request;
+    request.workload = p.workload;
+    request.workload_ref = w.get();
+    request.config = cluster::ClusterConfig{
+        systems::jetson_tx1(net::NicKind::kTenGigabit), 4,
+        sweep::natural_ranks(*w, 4)};
+    sim::EngineTelemetry tel;
+    request.engine_telemetry = &tel;
+    cluster::run(request);
+    ASSERT_EQ(tel.shard.size(), 1u) << p.workload;
+    const sim::ShardCounters& c = tel.shard.front();
+    EXPECT_EQ(tel.events_committed, p.events_committed) << p.workload;
+    EXPECT_EQ(c.events_processed, p.events_processed) << p.workload;
+    EXPECT_EQ(c.ops_fetched, p.ops_fetched) << p.workload;
+    EXPECT_EQ(c.wakes, p.wakes) << p.workload;
+    EXPECT_EQ(tel.commit_records, p.commit_records) << p.workload;
+    EXPECT_EQ(c.protos_arrival, p.arrival) << p.workload;
+    EXPECT_EQ(c.protos_rts, p.rts) << p.workload;
+    EXPECT_EQ(c.protos_cts, p.cts) << p.workload;
+    EXPECT_EQ(c.queue_high_water, p.queue_high_water) << p.workload;
+  }
 }
 
 // Contract 2a: attaching telemetry never changes the committed stream.
