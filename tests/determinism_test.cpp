@@ -329,73 +329,180 @@ struct UncontendedRow {
   const char* workload;
   const char* scenario;
   SimTime makespan;
+  std::uint64_t trace_digest;     ///< trace_digest() of the RunTrace.
+  std::uint64_t artifact_digest;  ///< profile_json + folded_stacks text.
 };
+
+void mix_message(Fnv1a& h, const sim::MessageRecord& m) {
+  h.mix_byte(m.eager ? 1 : 0).mix_byte(m.inter_node ? 1 : 0);
+  for (const std::int64_t v :
+       {std::int64_t{m.src_rank}, std::int64_t{m.dst_rank},
+        std::int64_t{m.phase}, std::int64_t{m.tag}, m.bytes, m.start, m.end,
+        m.latency, m.delivery, m.sender_complete}) {
+    h.mix_i64(v);
+  }
+}
+
+// Every field of the reconstructed trace that the attribution, what-if
+// and energy passes read: the ops with their windows and matching edges,
+// the committed messages, and the per-rank drain times and overheads.
+std::uint64_t trace_digest(const prof::RunTrace& t) {
+  Fnv1a h;
+  h.mix_u64(t.ops.size());
+  for (const prof::OpExec& op : t.ops) {
+    h.mix_byte(static_cast<std::uint8_t>(op.kind));
+    for (const std::int64_t v :
+         {std::int64_t{op.rank}, std::int64_t{op.node}, std::int64_t{op.phase},
+          std::int64_t{op.peer}, std::int64_t{op.tag}, std::int64_t{op.pc},
+          op.bytes, op.dispatch, op.complete, op.busy_start, op.busy_end,
+          std::int64_t{op.msg}, std::int64_t{op.partner}, op.partner_ready,
+          std::int64_t{op.determinant}}) {
+      h.mix_i64(v);
+    }
+  }
+  h.mix_u64(t.messages.size());
+  for (const sim::MessageRecord& m : t.messages) mix_message(h, m);
+  for (const std::vector<SimTime>* v :
+       {&t.finish, &t.send_overhead, &t.recv_overhead}) {
+    h.mix_u64(v->size());
+    for (const SimTime x : *v) h.mix_i64(x);
+  }
+  return h.value();
+}
+
+std::uint64_t text_digest(const std::string& text) {
+  Fnv1a h;
+  for (const char c : text) h.mix_byte(static_cast<std::uint8_t>(c));
+  return h.value();
+}
 
 // prof::Profile::uncontended on every golden configuration, in the
 // kGolden order.  Unlike the ideals, the uncontended lanes have no replay
 // twin, so its makespans (GPU, copy, NIC and switch-port queueing
-// removed) are pinned as literals.
+// removed) are pinned as literals.  The two digests pin the whole
+// reconstructed trace (every matching edge included) and the profile
+// artifacts, so a change to how the profiler binds endpoints shows here.
 constexpr UncontendedRow kUncontended[] = {
-    {"hpl", "none", 26110702537LL},
-    {"hpl", "fault", 58784162306LL},
-    {"hpl", "noise", 26209702537LL},
-    {"hpl", "checkpoint", 26530702537LL},
-    {"jacobi", "none", 7088463337LL},
-    {"jacobi", "fault", 16560113969LL},
-    {"jacobi", "noise", 8934735350LL},
-    {"jacobi", "checkpoint", 7208463337LL},
-    {"cloverleaf", "none", 26610468179LL},
-    {"cloverleaf", "fault", 65633350519LL},
-    {"cloverleaf", "noise", 30709397579LL},
-    {"cloverleaf", "checkpoint", 27110449141LL},
-    {"tealeaf2d", "none", 11843769600LL},
-    {"tealeaf2d", "fault", 25864636619LL},
-    {"tealeaf2d", "noise", 16865840409LL},
-    {"tealeaf2d", "checkpoint", 12043769600LL},
-    {"tealeaf3d", "none", 15183336291LL},
-    {"tealeaf3d", "fault", 29426443019LL},
-    {"tealeaf3d", "noise", 21894202882LL},
-    {"tealeaf3d", "checkpoint", 15463336291LL},
-    {"alexnet", "none", 1675835250LL},
-    {"alexnet", "fault", 4189588135LL},
-    {"alexnet", "noise", 1726335250LL},
-    {"alexnet", "checkpoint", 1695835250LL},
-    {"googlenet", "none", 2144933223LL},
-    {"googlenet", "fault", 5362333122LL},
-    {"googlenet", "noise", 2226433223LL},
-    {"googlenet", "checkpoint", 2164933223LL},
-    {"bt", "none", 13200872398LL},
-    {"bt", "fault", 30991552798LL},
-    {"bt", "noise", 13675499893LL},
-    {"bt", "checkpoint", 13440872398LL},
-    {"cg", "none", 12489697587LL},
-    {"cg", "fault", 22287497549LL},
-    {"cg", "noise", 17865996927LL},
-    {"cg", "checkpoint", 12828241207LL},
-    {"ep", "none", 32466475017LL},
-    {"ep", "fault", 79627571235LL},
-    {"ep", "noise", 32478475017LL},
-    {"ep", "checkpoint", 32786475017LL},
-    {"ft", "none", 18908119978LL},
-    {"ft", "fault", 43608562558LL},
-    {"ft", "noise", 19105560762LL},
-    {"ft", "checkpoint", 19288119978LL},
-    {"is", "none", 4315436868LL},
-    {"is", "fault", 9399895008LL},
-    {"is", "noise", 4398881674LL},
-    {"is", "checkpoint", 4448623650LL},
-    {"lu", "none", 24873437548LL},
-    {"lu", "fault", 34906568421LL},
-    {"lu", "noise", 29205382354LL},
-    {"lu", "checkpoint", 26753437548LL},
-    {"mg", "none", 8146191456LL},
-    {"mg", "fault", 19974743399LL},
-    {"mg", "noise", 8407076903LL},
-    {"mg", "checkpoint", 8326191456LL},
-    {"sp", "none", 14558323702LL},
-    {"sp", "fault", 34549909998LL},
-    {"sp", "noise", 15240797483LL},
-    {"sp", "checkpoint", 14878268658LL},
+    {"hpl", "none", 26110702537LL,
+     0xd03fbe3b33d842edULL, 0xc42cf0f971d917e5ULL},
+    {"hpl", "fault", 58784162306LL,
+     0x2fd8ea272cdd931dULL, 0xcf2de02574c5f5c5ULL},
+    {"hpl", "noise", 26209702537LL,
+     0xf58d753fa75c3b0cULL, 0x5b350ca4a3d7248cULL},
+    {"hpl", "checkpoint", 26530702537LL,
+     0x844df90da8f48f57ULL, 0x1b0d753ddf54c9c1ULL},
+    {"jacobi", "none", 7088463337LL,
+     0x69bc070977bfd26eULL, 0x954ad7e48a6876f5ULL},
+    {"jacobi", "fault", 16560113969LL,
+     0x32089bec964f155dULL, 0x604073ee253c4a61ULL},
+    {"jacobi", "noise", 8934735350LL,
+     0x9c4ca6c34c42b44cULL, 0x5205d00c14459596ULL},
+    {"jacobi", "checkpoint", 7208463337LL,
+     0x75ae33c7d04c9ec1ULL, 0xd305285ae0693aaaULL},
+    {"cloverleaf", "none", 26610468179LL,
+     0x270dc6cb2a5bbe44ULL, 0xc37510f69eb39a74ULL},
+    {"cloverleaf", "fault", 65633350519LL,
+     0x2ec032afc433a965ULL, 0x6f4c31b0a4ce179bULL},
+    {"cloverleaf", "noise", 30709397579LL,
+     0xe9c1d55a2c744292ULL, 0x81a1e8539db14876ULL},
+    {"cloverleaf", "checkpoint", 27110449141LL,
+     0x561ee49ca72e8f98ULL, 0xee7115ed141a9698ULL},
+    {"tealeaf2d", "none", 11843769600LL,
+     0x421d4a945c755888ULL, 0x92108f8a9330eff8ULL},
+    {"tealeaf2d", "fault", 25864636619LL,
+     0x5182f188903b960dULL, 0xfcdd6778d1baee70ULL},
+    {"tealeaf2d", "noise", 16865840409LL,
+     0x207a3c876f528d0eULL, 0x8cd971b6b3888701ULL},
+    {"tealeaf2d", "checkpoint", 12043769600LL,
+     0x09a0d867513282d1ULL, 0x587e4c31fd817dfeULL},
+    {"tealeaf3d", "none", 15183336291LL,
+     0xfc00535c09fdc663ULL, 0x2e392fdb68e772ccULL},
+    {"tealeaf3d", "fault", 29426443019LL,
+     0xe89e6311b4f032ebULL, 0x7b2135b3327c6056ULL},
+    {"tealeaf3d", "noise", 21894202882LL,
+     0x0621d342eb7509b7ULL, 0xac8de72f2e7bfea2ULL},
+    {"tealeaf3d", "checkpoint", 15463336291LL,
+     0xbed50a42aeb6e637ULL, 0x638fe6a4a33d97d2ULL},
+    {"alexnet", "none", 1675835250LL,
+     0x7a8e408186d461aeULL, 0x968b82f3b6b3a6e7ULL},
+    {"alexnet", "fault", 4189588135LL,
+     0x660c75fe01fe8616ULL, 0xe8ee200f0bc26cf1ULL},
+    {"alexnet", "noise", 1726335250LL,
+     0x5ed6454cfa909d0aULL, 0x0efefe782c199470ULL},
+    {"alexnet", "checkpoint", 1695835250LL,
+     0x29340824d9936fb6ULL, 0xe151ea3f6c1af0b9ULL},
+    {"googlenet", "none", 2144933223LL,
+     0x5cbd051f62ed9559ULL, 0x2b7c87e0033cf458ULL},
+    {"googlenet", "fault", 5362333122LL,
+     0x5778bb2d61c80ddaULL, 0x59ad40c84cb0ac73ULL},
+    {"googlenet", "noise", 2226433223LL,
+     0x13aa69205c9454baULL, 0x1efb4f0033b91743ULL},
+    {"googlenet", "checkpoint", 2164933223LL,
+     0x09a2d70961f53a25ULL, 0x79103b3c4ff02e9aULL},
+    {"bt", "none", 13200872398LL,
+     0xec3e86695071fe3aULL, 0x7fd0e166465f4a13ULL},
+    {"bt", "fault", 30991552798LL,
+     0x144c25bf808e4d54ULL, 0x5481f055115a3934ULL},
+    {"bt", "noise", 13675499893LL,
+     0x165505d0d8ff3fa5ULL, 0xd86a9296a02c9ccdULL},
+    {"bt", "checkpoint", 13440872398LL,
+     0x7733e40072b659e8ULL, 0x46e1a75f7b902458ULL},
+    {"cg", "none", 12489697587LL,
+     0x5750bb76c3196300ULL, 0x15a50cfe65dc27bbULL},
+    {"cg", "fault", 22287497549LL,
+     0x7869d8510e02748fULL, 0x86770e9c53f8938bULL},
+    {"cg", "noise", 17865996927LL,
+     0xac24ebfa4e201e27ULL, 0xdb060d6c0e31c059ULL},
+    {"cg", "checkpoint", 12828241207LL,
+     0x8714087be91be464ULL, 0x3b93f91c1051e3f8ULL},
+    {"ep", "none", 32466475017LL,
+     0xa7cb79be452e2460ULL, 0xe7cd0bce601e6745ULL},
+    {"ep", "fault", 79627571235LL,
+     0x9956849ff34b06ddULL, 0xaa1a842ed878fa34ULL},
+    {"ep", "noise", 32478475017LL,
+     0x4e430afcb69efcc4ULL, 0x142fe660afe9798eULL},
+    {"ep", "checkpoint", 32786475017LL,
+     0xa3b440afbb76d632ULL, 0x044ed22b336d2726ULL},
+    {"ft", "none", 18908119978LL,
+     0xe92a2a9bec6b54efULL, 0x93c7637e05eee3eeULL},
+    {"ft", "fault", 43608562558LL,
+     0x9dee06533b61d969ULL, 0x52ecb5a9a3730c0cULL},
+    {"ft", "noise", 19105560762LL,
+     0xe208cd816186ad53ULL, 0xf5e2497c98e340cbULL},
+    {"ft", "checkpoint", 19288119978LL,
+     0x639a46b155547507ULL, 0xd5603d5ff4166e92ULL},
+    {"is", "none", 4315436868LL,
+     0x28e2ebae053575cdULL, 0x1554203597e7aea0ULL},
+    {"is", "fault", 9399895008LL,
+     0x06f121fd5a8010b8ULL, 0x4ae2519a9a5bc890ULL},
+    {"is", "noise", 4398881674LL,
+     0x362991895a546b0cULL, 0xd21ada0fbaaa9b13ULL},
+    {"is", "checkpoint", 4448623650LL,
+     0xb8876eadf75419cbULL, 0x580c84d52583a479ULL},
+    {"lu", "none", 24873437548LL,
+     0x73143d1861c233ffULL, 0x499d6ca798e9fc6fULL},
+    {"lu", "fault", 34906568421LL,
+     0x420e225ac3f5724aULL, 0x7e2d7f947802eaf3ULL},
+    {"lu", "noise", 29205382354LL,
+     0x3acd251edbfcc0c8ULL, 0xe2ad3c90f32ca197ULL},
+    {"lu", "checkpoint", 26753437548LL,
+     0x09e7de427065fb57ULL, 0x8cc9148833996133ULL},
+    {"mg", "none", 8146191456LL,
+     0x56a98bd5a8f4dd7eULL, 0x8ae7edc586fdaa7fULL},
+    {"mg", "fault", 19974743399LL,
+     0x961bb1a0107cb5bcULL, 0x59389c06652efb78ULL},
+    {"mg", "noise", 8407076903LL,
+     0xe7d63e82b4d2ad73ULL, 0xad5317a4b2ae1c2bULL},
+    {"mg", "checkpoint", 8326191456LL,
+     0x96a4659e18e618d8ULL, 0xa3777f8bedf7db5dULL},
+    {"sp", "none", 14558323702LL,
+     0x98923a679322f415ULL, 0x1870f1809e7087e4ULL},
+    {"sp", "fault", 34549909998LL,
+     0x5cac1c92ddbc54faULL, 0x425391004a9680f7ULL},
+    {"sp", "noise", 15240797483LL,
+     0x216c5a34d0aa0269ULL, 0xe9efc43d515489e2ULL},
+    {"sp", "checkpoint", 14878268658LL,
+     0xccc8c7adb578c99cULL, 0x72a5a7d95df3c3eaULL},
 };
 
 // The single-pass what-ifs re-run the engine on the recorded trace; on
@@ -411,7 +518,9 @@ TEST(Determinism, WhatIfReRunsMatchReplaysOnGoldenSet) {
       cluster::RunRequest request = golden_request(*w, scenario);
       const trace::ScenarioRuns runs = cluster::replay_scenarios(request);
       prof::Profile profile;
+      prof::RunTrace trace;
       request.profile = &profile;
+      request.run_trace = &trace;
       const auto r = cluster::run(request);
       ASSERT_EQ(r.stats.event_checksum, runs.measured.event_checksum) << what;
       // The profile carries prof::evaluate() under the measured,
@@ -419,11 +528,24 @@ TEST(Determinism, WhatIfReRunsMatchReplaysOnGoldenSet) {
       EXPECT_EQ(profile.measured_eval, r.stats.makespan) << what;
       EXPECT_EQ(profile.ideal_network, runs.ideal_network.makespan) << what;
       EXPECT_EQ(profile.ideal_balance, runs.ideal_balance.makespan) << what;
-      ASSERT_LT(row, std::size(kUncontended)) << "missing row " << what;
+      const std::uint64_t td = trace_digest(trace);
+      const std::uint64_t ad =
+          text_digest(prof::profile_json(profile) +
+                      prof::folded_stacks(profile));
+      char expected[160];
+      std::snprintf(expected, sizeof expected,
+                    "{\"%s\", \"%s\", %lldLL, 0x%016llxULL, 0x%016llxULL},",
+                    name.c_str(), scenario,
+                    static_cast<long long>(profile.uncontended),
+                    static_cast<unsigned long long>(td),
+                    static_cast<unsigned long long>(ad));
+      ASSERT_LT(row, std::size(kUncontended)) << "missing row " << expected;
       const UncontendedRow& u = kUncontended[row++];
-      EXPECT_EQ(name, u.workload) << what;
-      EXPECT_STREQ(scenario, u.scenario) << what;
-      EXPECT_EQ(profile.uncontended, u.makespan) << what;
+      EXPECT_EQ(name, u.workload) << expected;
+      EXPECT_STREQ(scenario, u.scenario) << expected;
+      EXPECT_EQ(profile.uncontended, u.makespan) << expected;
+      EXPECT_EQ(td, u.trace_digest) << expected;
+      EXPECT_EQ(ad, u.artifact_digest) << expected;
     }
   }
   EXPECT_EQ(row, std::size(kUncontended));
