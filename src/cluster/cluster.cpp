@@ -140,7 +140,9 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
     profile.energy = prof::attribute_energy(
         profiler.trace(), request.config.node.power, request.config.node.cpu_cores);
     profile.has_energy = true;
-    if (request.run_trace != nullptr) *request.run_trace = profiler.trace();
+    if (request.run_trace != nullptr) {
+      *request.run_trace = profiler.take_trace();
+    }
     if (!request.profile_json_path.empty()) {
       prof::write_text(request.profile_json_path, prof::profile_json(profile));
     }

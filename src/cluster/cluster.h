@@ -110,9 +110,9 @@ struct RunRequest {
   prof::Profile* profile = nullptr;
   std::string profile_json_path;
   std::string profile_folded_path;
-  /// Receives a copy of the reconstructed prof::RunTrace (implies
-  /// profiling like the sinks above); feed it to prof::retime() for
-  /// DVFS / power-cap what-ifs without re-running.
+  /// Receives the reconstructed prof::RunTrace, moved out of the run's
+  /// profiler (implies profiling like the sinks above); feed it to
+  /// prof::retime() for DVFS / power-cap what-ifs without re-running.
   prof::RunTrace* run_trace = nullptr;
 
   /// Engine self-telemetry sink (non-owning; must outlive the run).

@@ -72,20 +72,21 @@ std::string perf_report_json(const PerfReport& report);
 /// Writes perf_report_json to `path` (parent directory must exist).
 void write_perf_report(const std::string& path, const PerfReport& report);
 
-/// Reads the samples back out of a perf_report_json document (the
-/// committed BENCH_engine.json baseline).  Only the comparison fields
-/// (name, events, checksum, events_per_second) are recovered.
-std::vector<PerfSample> load_perf_baseline(const std::string& path);
+/// Reads a perf_report_json document back (the committed
+/// BENCH_engine.json baseline).  Only the comparison fields are
+/// recovered: alloc_counter_live and, per sample, name, events, checksum,
+/// reps, events_per_second, allocs_per_event, memo_hits and memo_misses.
+PerfReport load_perf_baseline(const std::string& path);
 
-/// Compares a fresh report against a committed baseline: cases present in
-/// both must agree exactly on events and checksum (simulation
-/// determinism is machine-independent) and may not drop below
-/// `tolerance` x the baseline's events/s (wall-clock is machine-dependent,
-/// so the throughput gate is deliberately loose).  Returns an empty
-/// string on success, else a newline-terminated failure list.  At least
-/// one case must match by name.
+/// Compares a fresh report against a committed baseline.  Cases present
+/// in both must agree exactly on every deterministic counter: events,
+/// checksum, memo hits and misses (for the same reps), and
+/// allocs_per_event when both reports counted allocations.  Throughput
+/// may not drop below `tolerance` x the baseline's events/s (wall-clock
+/// is machine-dependent, so that gate is deliberately loose).  Returns
+/// an empty string on success, else a newline-terminated failure list.
+/// At least one case must match by name.
 std::string diff_perf_baseline(const PerfReport& report,
-                               const std::vector<PerfSample>& baseline,
-                               double tolerance);
+                               const PerfReport& baseline, double tolerance);
 
 }  // namespace soc::cluster

@@ -602,21 +602,15 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
   SOC_CHECK(op.peer >= 0 && op.peer < placement_.ranks && op.peer != rank,
             "invalid send peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
-  auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = message_key(rank, op.peer, op.tag);
-
+  if (op.bytes <= config_.eager_threshold) {
+    const SimTime done = post_eager(rank, now, op);
+    advance(rank);
+    wake(rank, done);
+    return;
+  }
+  const PendingSend self{rank, static_cast<std::int32_t>(st.pc), now,
+                         op.bytes, st.phase, 0};
   if (use_protocol(rank, op.peer)) {
-    if (op.bytes <= config_.eager_threshold) {
-      // Eager: fire the payload at the receiver and keep running after
-      // the posting overhead.  Matching happens receiver-side when the
-      // kArrival message lands.
-      launch_eager_remote(rank, op.peer, now, op.bytes, op.tag);
-      const SimTime overhead = cost_.send_overhead(rank);
-      rs.msg_overhead += overhead;
-      advance(rank);
-      wake(rank, now + overhead);
-      return;
-    }
     // Rendezvous: park and announce with an RTS that reaches the
     // receiver one wire latency from now.  The matching receive
     // computes the transfer there and unblocks us with a kCts.
@@ -628,6 +622,7 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     p.dst_rank = op.peer;
     p.tag = op.tag;
     p.phase = st.phase;
+    p.src_pc = self.pc;
     p.bytes = op.bytes;
     p.requested = now;
     p.tx_est = nic_tx_free_[static_cast<std::size_t>(src_node)];
@@ -638,56 +633,27 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     return;
   }
 
-  if (op.bytes <= config_.eager_threshold) {
-    const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes, op.tag);
-    const SimTime overhead = cost_.send_overhead(rank);
-    rs.msg_overhead += overhead;
-
-    auto* pending = pending_recvs_.find(key);
-    auto* posted = pending_irecvs_.find(key);
-    if (pending != nullptr) {
-      const PendingRecv pr = take_front(pending_recvs_, key, *pending);
-      commit_pending(0, -1, /*park=*/false);
-      auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
-      const SimTime complete =
-          std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
-      recv_rs.recv_blocked += complete - pr.ready;
-      advance(pr.rank);
-      wake(pr.rank, complete);
-    } else if (posted != nullptr) {
-      const int recv_rank = take_front(pending_irecvs_, key, *posted);
-      commit_pending(0, -1, /*park=*/false);
-      resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
-    } else {
-      arrivals_[key].push_back(Arrival{arrival, op.bytes});
-    }
-
-    advance(rank);
-    wake(rank, now + overhead);
-    return;
-  }
-
   // Rendezvous: need a posted receive (blocking or non-blocking).
+  const MsgKey key = message_key(rank, op.peer, op.tag);
   auto* pending = pending_recvs_.find(key);
   if (pending != nullptr) {
     const PendingRecv pr = take_front(pending_recvs_, key, *pending);
     commit_pending(0, -1, /*park=*/false);
-    complete_rendezvous(rank, now, pr.rank, pr.ready, op.bytes, op.tag);
+    complete_rendezvous(self, pr, op.tag);
     return;
   }
   auto* posted = pending_irecvs_.find(key);
   if (posted != nullptr) {
-    const int recv_rank = take_front(pending_irecvs_, key, *posted);
+    const PendingRecv recv = take_front(pending_irecvs_, key, *posted);
     commit_pending(0, -1, /*park=*/false);
-    const SimTime end = timed_transfer(rank, recv_rank, now, op.bytes, op.tag);
+    const SimTime end = timed_transfer(self, recv, now, op.tag);
     stats_.ranks[static_cast<std::size_t>(rank)].send_blocked += end - now;
     advance(rank);
     wake(rank, end);
-    resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
+    resolve_request(recv.rank, end + cost_.recv_overhead(recv.rank));
     return;
   }
-  pending_sends_[key].push_back(
-      PendingSend{rank, now, op.bytes, st.phase, 0});
+  pending_sends_[key].push_back(self);
   commit_pending(1, 0, /*park=*/true);
   st.blocked = true;
 }
@@ -698,11 +664,12 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
   const MsgKey key = message_key(op.peer, rank, op.tag);
+  const PendingRecv self{rank, static_cast<std::int32_t>(st.pc), now};
 
   // Eager message already delivered?
   auto* arrived = arrivals_.find(key);
   if (arrived != nullptr) {
-    const Arrival a = take_front(arrivals_, key, *arrived);
+    const Arrival a = take_arrival(key, *arrived);
     const SimTime complete = std::max(now, a.time) + cost_.recv_overhead(rank);
     rs.recv_blocked += complete - now;
     advance(rank);
@@ -717,16 +684,16 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
     commit_pending(-1, 0, /*park=*/false);
     if (use_protocol(op.peer, rank)) {
       const SimTime end =
-          rendezvous_match(ps, rank, now, std::max(ps.ready, now), op.tag);
+          rendezvous_match(ps, self, now, std::max(ps.ready, now), op.tag);
       rs.recv_blocked += end - now;
       advance(rank);
       wake(rank, end);
     } else {
-      complete_rendezvous(ps.rank, ps.ready, rank, now, ps.bytes, op.tag);
+      complete_rendezvous(ps, self, op.tag);
     }
     return;
   }
-  pending_recvs_[key].push_back(PendingRecv{rank, now, st.phase});
+  pending_recvs_[key].push_back(self);
   commit_pending(0, 1, /*park=*/true);
   st.blocked = true;
 }
@@ -735,47 +702,12 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
   SOC_CHECK(op.peer >= 0 && op.peer < placement_.ranks && op.peer != rank,
             "invalid isend peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
-  auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = message_key(rank, op.peer, op.tag);
-
   // Buffered semantics: the transfer launches now; the sender only pays
   // the posting overhead and its request completes locally.
-  if (use_protocol(rank, op.peer)) {
-    launch_eager_remote(rank, op.peer, now, op.bytes, op.tag);
-    const SimTime overhead = cost_.send_overhead(rank);
-    rs.msg_overhead += overhead;
-    st.requests_complete = std::max(st.requests_complete, now + overhead);
-    advance(rank);
-    wake(rank, now + overhead);
-    return;
-  }
-
-  const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes, op.tag);
-  const SimTime overhead = cost_.send_overhead(rank);
-  rs.msg_overhead += overhead;
-  st.requests_complete = std::max(st.requests_complete, now + overhead);
-
-  auto* pending = pending_recvs_.find(key);
-  auto* posted = pending_irecvs_.find(key);
-  if (pending != nullptr) {
-    const PendingRecv pr = take_front(pending_recvs_, key, *pending);
-    commit_pending(0, -1, /*park=*/false);
-    auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
-    const SimTime complete =
-        std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
-    recv_rs.recv_blocked += complete - pr.ready;
-    advance(pr.rank);
-    wake(pr.rank, complete);
-  } else if (posted != nullptr) {
-    const int recv_rank = take_front(pending_irecvs_, key, *posted);
-    commit_pending(0, -1, /*park=*/false);
-    resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
-  } else {
-    arrivals_[key].push_back(Arrival{arrival, op.bytes});
-  }
-
+  const SimTime done = post_eager(rank, now, op);
+  st.requests_complete = std::max(st.requests_complete, done);
   advance(rank);
-  wake(rank, now + overhead);
+  wake(rank, done);
 }
 
 void Engine::start_irecv(int rank, SimTime now, const Op& op) {
@@ -783,11 +715,12 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
             "invalid irecv peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   const MsgKey key = message_key(op.peer, rank, op.tag);
+  const PendingRecv self{rank, static_cast<std::int32_t>(st.pc), now};
 
   // Already-arrived (eager/isend) message?
   auto* arrived = arrivals_.find(key);
   if (arrived != nullptr) {
-    const Arrival a = take_front(arrivals_, key, *arrived);
+    const Arrival a = take_arrival(key, *arrived);
     st.requests_complete =
         std::max(st.requests_complete,
                  std::max(now, a.time) + cost_.recv_overhead(rank));
@@ -798,14 +731,13 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
       const PendingSend ps = take_front(pending_sends_, key, *pending);
       commit_pending(-1, 0, /*park=*/false);
       if (use_protocol(op.peer, rank)) {
-        const SimTime end = rendezvous_match(ps, rank, now,
+        const SimTime end = rendezvous_match(ps, self, now,
                                              std::max(ps.ready, now), op.tag);
         st.requests_complete = std::max(st.requests_complete,
                                         end + cost_.recv_overhead(rank));
       } else {
-        const SimTime end = timed_transfer(ps.rank, rank,
-                                           std::max(ps.ready, now), ps.bytes,
-                                           op.tag);
+        const SimTime end =
+            timed_transfer(ps, self, std::max(ps.ready, now), op.tag);
         auto& send_rs = stats_.ranks[static_cast<std::size_t>(ps.rank)];
         send_rs.send_blocked += end - ps.ready;
         advance(ps.rank);
@@ -815,7 +747,7 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
       }
     } else {
       ++st.unresolved_requests;
-      pending_irecvs_[key].push_back(rank);
+      pending_irecvs_[key].push_back(self);
       commit_pending(0, 1, /*park=*/true);
     }
   }
@@ -857,59 +789,103 @@ void Engine::resolve_request(int rank, SimTime completion) {
   }
 }
 
-SimTime Engine::timed_transfer(int send_rank, int recv_rank, SimTime earliest,
-                               Bytes bytes, int tag) {
+SimTime Engine::timed_transfer(const PendingSend& send,
+                               const PendingRecv& recv, SimTime earliest,
+                               int tag) {
   // Instant path only: same node, or ideal network (which zeroes both
   // terms).  Cross-node transfers on a real network go through the
   // protocol-message path and never reach here.
-  const int src_node = placement_.node_of[static_cast<std::size_t>(send_rank)];
-  const int dst_node = placement_.node_of[static_cast<std::size_t>(recv_rank)];
+  const int src_node = placement_.node_of[static_cast<std::size_t>(send.rank)];
+  const int dst_node = placement_.node_of[static_cast<std::size_t>(recv.rank)];
   SimTime latency = 0;
   SimTime duration = 0;
   if (!scenario_.ideal_network) {
     latency = cost_.message_latency(src_node, dst_node);
     duration =
-        latency + cost_.message_transfer_time(src_node, dst_node, bytes);
+        latency + cost_.message_transfer_time(src_node, dst_node, send.bytes);
   }
   const SimTime end = earliest + duration;
-  account_transfer(send_rank, recv_rank, earliest, earliest, end, bytes,
-                   /*eager=*/false, 0, tag, latency);
+  account_transfer(send.rank, send.pc, recv.rank, recv.pc, earliest, end,
+                   send.bytes, /*eager=*/false, tag, latency);
   return end;
 }
 
-void Engine::complete_rendezvous(int send_rank, SimTime send_ready,
-                                 int recv_rank, SimTime recv_ready,
-                                 Bytes bytes, int tag) {
+void Engine::complete_rendezvous(const PendingSend& send,
+                                 const PendingRecv& recv, int tag) {
   const SimTime end =
-      timed_transfer(send_rank, recv_rank, std::max(send_ready, recv_ready),
-                     bytes, tag);
-  auto& send_rs = stats_.ranks[static_cast<std::size_t>(send_rank)];
-  auto& recv_rs = stats_.ranks[static_cast<std::size_t>(recv_rank)];
-  send_rs.send_blocked += end - send_ready;
-  recv_rs.recv_blocked += end - recv_ready;
+      timed_transfer(send, recv, std::max(send.ready, recv.ready), tag);
+  auto& send_rs = stats_.ranks[static_cast<std::size_t>(send.rank)];
+  auto& recv_rs = stats_.ranks[static_cast<std::size_t>(recv.rank)];
+  send_rs.send_blocked += end - send.ready;
+  recv_rs.recv_blocked += end - recv.ready;
 
-  advance(send_rank);
-  advance(recv_rank);
-  wake(send_rank, end);
-  wake(recv_rank, end);
+  advance(send.rank);
+  advance(recv.rank);
+  wake(send.rank, end);
+  wake(recv.rank, end);
 }
 
-SimTime Engine::launch_eager(int src_rank, int dst_rank, SimTime now,
-                             Bytes bytes, int tag) {
-  // Instant path only: same node, or ideal network.
-  const int src_node = placement_.node_of[static_cast<std::size_t>(src_rank)];
-  const int dst_node = placement_.node_of[static_cast<std::size_t>(dst_rank)];
-  if (scenario_.ideal_network) {
-    account_transfer(src_rank, dst_rank, now, now, now, bytes,
-                     /*eager=*/true, 0, tag, 0);
-    return now;
+SimTime Engine::post_eager(int rank, SimTime now, const Op& op) {
+  // Cross-node: fire the payload at the receiver; matching happens
+  // receiver-side when the kArrival message lands.
+  if (use_protocol(rank, op.peer)) {
+    launch_eager_remote(rank, op.peer, now, op.bytes, op.tag);
+  } else {
+    deliver_eager(rank, now, op);
   }
-  const SimTime xfer = cost_.message_transfer_time(src_node, dst_node, bytes);
-  const SimTime latency = cost_.message_latency(src_node, dst_node);
-  const SimTime arrival = now + latency + xfer;
-  account_transfer(src_rank, dst_rank, now, now, arrival, bytes,
-                   /*eager=*/true, 0, tag, latency);
-  return arrival;
+  const SimTime overhead = cost_.send_overhead(rank);
+  stats_.ranks[static_cast<std::size_t>(rank)].msg_overhead += overhead;
+  return now + overhead;
+}
+
+void Engine::deliver_eager(int rank, SimTime now, const Op& op) {
+  const MsgKey key = message_key(rank, op.peer, op.tag);
+  auto* pending = pending_recvs_.find(key);
+  auto* posted = pending == nullptr ? pending_irecvs_.find(key) : nullptr;
+  const std::int32_t recv_pc = pending != nullptr  ? pending->front().pc
+                               : posted != nullptr ? posted->front().pc
+                                                   : -1;
+  const std::int32_t send_pc =
+      static_cast<std::int32_t>(states_[static_cast<std::size_t>(rank)].pc);
+
+  SimTime arrival = now;
+  SimTime latency = 0;
+  if (!scenario_.ideal_network) {
+    const int src_node = placement_.node_of[static_cast<std::size_t>(rank)];
+    const int dst_node = placement_.node_of[static_cast<std::size_t>(op.peer)];
+    const SimTime xfer =
+        cost_.message_transfer_time(src_node, dst_node, op.bytes);
+    latency = cost_.message_latency(src_node, dst_node);
+    arrival = now + latency + xfer;
+  }
+  account_transfer(rank, send_pc, op.peer, recv_pc, now, arrival, op.bytes,
+                   /*eager=*/true, op.tag, latency);
+
+  if (pending != nullptr) {
+    const PendingRecv pr = take_front(pending_recvs_, key, *pending);
+    commit_pending(0, -1, /*park=*/false);
+    const SimTime complete =
+        std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
+    stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
+        complete - pr.ready;
+    advance(pr.rank);
+    wake(pr.rank, complete);
+  } else if (posted != nullptr) {
+    const PendingRecv recv = take_front(pending_irecvs_, key, *posted);
+    commit_pending(0, -1, /*park=*/false);
+    resolve_request(recv.rank, arrival + cost_.recv_overhead(recv.rank));
+  } else {
+    arrivals_[key].push_back(Arrival{arrival, op.bytes, send_pc});
+  }
+}
+
+Engine::Arrival Engine::take_arrival(MsgKey key, RingQueue<Arrival>& queue) {
+  const Arrival a = take_front(arrivals_, key, queue);
+  CommitRec& dispatch = commits_.back();
+  SOC_CHECK(dispatch.type == CommitType::kDispatch,
+            "an arrival is taken right after its receive's dispatch");
+  dispatch.u.dispatch.partner_pc = a.send_pc;
+  return a;
 }
 
 void Engine::launch_eager_remote(int src_rank, int dst_rank, SimTime now,
@@ -942,6 +918,8 @@ void Engine::launch_eager_remote(int src_rank, int dst_rank, SimTime now,
   p.dst_rank = dst_rank;
   p.tag = tag;
   p.phase = states_[static_cast<std::size_t>(src_rank)].phase;
+  p.src_pc =
+      static_cast<std::int32_t>(states_[static_cast<std::size_t>(src_rank)].pc);
   p.bytes = bytes;
   p.requested = now;
   p.start = start;
@@ -982,6 +960,8 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
   recv_rs.net_bytes_received += p.bytes;
   bin_busy(stats_.nodes[static_cast<std::size_t>(dst_node)].nic_busy, p.start,
            p.end);
+  auto* pending = pending_recvs_.find(key);
+  auto* posted = pending == nullptr ? pending_irecvs_.find(key) : nullptr;
   if (observer_ != nullptr) {
     MessageRecord m;
     m.eager = true;
@@ -990,6 +970,10 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
     m.dst_rank = dst;
     m.phase = p.phase;
     m.tag = p.tag;
+    m.send_pc = p.src_pc;
+    m.recv_pc = pending != nullptr  ? pending->front().pc
+                : posted != nullptr ? posted->front().pc
+                                    : -1;
     m.bytes = p.bytes;
     m.start = p.start;
     m.end = p.end;
@@ -1002,8 +986,6 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
                 p.start - p.requested, fabric_wait, p.bytes);
   }
 
-  auto* pending = pending_recvs_.find(key);
-  auto* posted = pending_irecvs_.find(key);
   if (pending != nullptr) {
     const PendingRecv pr = take_front(pending_recvs_, key, *pending);
     commit_pending(0, -1, /*park=*/false);
@@ -1014,11 +996,11 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
     advance(pr.rank);
     wake(pr.rank, complete);
   } else if (posted != nullptr) {
-    const int recv_rank = take_front(pending_irecvs_, key, *posted);
+    const PendingRecv recv = take_front(pending_irecvs_, key, *posted);
     commit_pending(0, -1, /*park=*/false);
-    resolve_request(recv_rank, delivery + cost_.recv_overhead(recv_rank));
+    resolve_request(recv.rank, delivery + cost_.recv_overhead(recv.rank));
   } else {
-    arrivals_[key].push_back(Arrival{delivery, p.bytes});
+    arrivals_[key].push_back(Arrival{delivery, p.bytes, p.src_pc});
   }
   (void)now;
 }
@@ -1026,14 +1008,15 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
 void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
   const MsgKey key = message_key(p.src_rank, dst, p.tag);
-  const PendingSend ps{p.src_rank, p.requested, p.bytes, p.phase, p.tx_est};
+  const PendingSend ps{p.src_rank, p.src_pc, p.requested,
+                       p.bytes,    p.phase,  p.tx_est};
 
   auto* pending = pending_recvs_.find(key);
   if (pending != nullptr) {
     const PendingRecv pr = take_front(pending_recvs_, key, *pending);
     commit_pending(0, -1, /*park=*/false);
     const SimTime end =
-        rendezvous_match(ps, pr.rank, now, std::max(ps.ready, pr.ready), p.tag);
+        rendezvous_match(ps, pr, now, std::max(ps.ready, pr.ready), p.tag);
     stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
         end - pr.ready;
     advance(pr.rank);
@@ -1042,10 +1025,10 @@ void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   }
   auto* posted = pending_irecvs_.find(key);
   if (posted != nullptr) {
-    const int recv_rank = take_front(pending_irecvs_, key, *posted);
+    const PendingRecv recv = take_front(pending_irecvs_, key, *posted);
     commit_pending(0, -1, /*park=*/false);
-    const SimTime end = rendezvous_match(ps, recv_rank, now, ps.ready, p.tag);
-    resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
+    const SimTime end = rendezvous_match(ps, recv, now, ps.ready, p.tag);
+    resolve_request(recv.rank, end + cost_.recv_overhead(recv.rank));
     return;
   }
   // No receive posted yet: park the RTS at the receiver; the matching
@@ -1054,9 +1037,10 @@ void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   commit_pending(1, 0, /*park=*/true);
 }
 
-SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
-                                 SimTime match_time, SimTime start_base,
-                                 int tag) {
+SimTime Engine::rendezvous_match(const PendingSend& ps,
+                                 const PendingRecv& recv, SimTime match_time,
+                                 SimTime start_base, int tag) {
+  const int recv_rank = recv.rank;
   const int src_node = placement_.node_of[static_cast<std::size_t>(ps.rank)];
   const int dst_node = placement_.node_of[static_cast<std::size_t>(recv_rank)];
 
@@ -1106,6 +1090,8 @@ SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
     m.dst_rank = recv_rank;
     m.phase = ps.phase;
     m.tag = tag;
+    m.send_pc = ps.pc;
+    m.recv_pc = recv.pc;
     m.bytes = ps.bytes;
     m.start = start;
     m.end = end;
@@ -1159,10 +1145,10 @@ void Engine::process_cts(const ProtoMsg& p, SimTime now) {
   wake(src, now);
 }
 
-void Engine::account_transfer(int src_rank, int dst_rank, SimTime requested,
+void Engine::account_transfer(int src_rank, std::int32_t send_pc,
+                              int dst_rank, std::int32_t recv_pc,
                               SimTime start, SimTime end, Bytes bytes,
-                              bool eager, SimTime fabric_wait, int tag,
-                              SimTime latency) {
+                              bool eager, int tag, SimTime latency) {
   const int src_node = placement_.node_of[static_cast<std::size_t>(src_rank)];
   const int dst_node = placement_.node_of[static_cast<std::size_t>(dst_rank)];
   auto& send_rs = stats_.ranks[static_cast<std::size_t>(src_rank)];
@@ -1178,6 +1164,8 @@ void Engine::account_transfer(int src_rank, int dst_rank, SimTime requested,
     message.dst_rank = dst_rank;
     message.phase = states_[static_cast<std::size_t>(src_rank)].phase;
     message.tag = tag;
+    message.send_pc = send_pc;
+    message.recv_pc = recv_pc;
     message.bytes = bytes;
     message.start = start;
     message.end = end;
@@ -1206,10 +1194,8 @@ void Engine::account_transfer(int src_rank, int dst_rank, SimTime requested,
   bin_busy(stats_.nodes[static_cast<std::size_t>(dst_node)].nic_busy, start, end);
   const std::uint8_t kind = static_cast<std::uint8_t>(
       eager ? OpKind::kIsend : OpKind::kSend);
-  commit_span(Lane::kNicTx, src_rank, src_node, kind, start, end,
-              start - requested, fabric_wait, bytes);
-  commit_span(Lane::kNicRx, dst_rank, dst_node, kind, start, end,
-              start - requested, fabric_wait, bytes);
+  commit_span(Lane::kNicTx, src_rank, src_node, kind, start, end, 0, 0, bytes);
+  commit_span(Lane::kNicRx, dst_rank, dst_node, kind, start, end, 0, 0, bytes);
 }
 
 double RunStats::flops_per_second() const {

@@ -81,6 +81,9 @@ struct DispatchRecord {
   std::int32_t pc = 0;
   std::int32_t peer = -1;  ///< Partner rank for message ops (-1 otherwise).
   std::int32_t tag = 0;    ///< Message tag for message ops.
+  /// Receives that take an already-arrived payload: the sending op's pc
+  /// (its MessageRecord committed earlier with recv_pc -1).  -1 otherwise.
+  std::int32_t partner_pc = -1;
 };
 
 /// One timed occupancy of a resource lane.
@@ -97,8 +100,9 @@ struct SpanRecord {
   Bytes bytes = 0;         ///< Message/copy size; DRAM bytes for compute.
 };
 
-/// One matched message transfer (fires once per send/recv pair, at the
-/// moment the receive side commits the transfer).
+/// One message transfer (fires once per send/recv pair, at the moment the
+/// receive side commits the transfer).  It names both endpoint ops by
+/// (rank, pc), so observers never re-derive the engine's matching.
 struct MessageRecord {
   bool eager = false;       ///< Eager protocol (false = rendezvous).
   bool inter_node = false;
@@ -106,6 +110,11 @@ struct MessageRecord {
   int dst_rank = 0;
   int phase = 0;            ///< Sender's phase.
   int tag = 0;              ///< Message tag (matches the endpoints' ops).
+  std::int32_t send_pc = 0;   ///< The send/isend op's pc at src_rank.
+  /// The recv/irecv op's pc at dst_rank; -1 when an eager payload commits
+  /// before its receive is posted (that receive's DispatchRecord names
+  /// this send in partner_pc).
+  std::int32_t recv_pc = -1;
   Bytes bytes = 0;
   SimTime start = 0;
   SimTime end = 0;
@@ -223,26 +232,30 @@ class Engine {
                                    ///< booking for the wake path).
   };
 
-  // A posted-but-unmatched message endpoint.  For cross-node rendezvous
-  // the entry is the parked RTS at the receiver, carrying the sender-side
-  // facts the transfer math needs.
+  // A posted-but-unmatched message endpoint, with the pc of its op so
+  // the committed transfer can name it.  For cross-node rendezvous the
+  // send entry is the parked RTS at the receiver, carrying the
+  // sender-side facts the transfer math needs.
   struct PendingSend {
     int rank;
+    std::int32_t pc;
     SimTime ready;    ///< When the sender reached the send.
     Bytes bytes;
     int phase;
     SimTime tx_est;   ///< Sender NIC-TX availability estimate (cross-node).
   };
+  /// A parked blocking recv or a posted irecv.
   struct PendingRecv {
     int rank;
-    SimTime ready;
-    int phase;
+    std::int32_t pc;
+    SimTime ready;    ///< When the receiver reached the receive.
   };
   // Messages that already arrived (eager payload delivered, intra-node
   // instant arrival) and wait for their receive.
   struct Arrival {
     SimTime time;     ///< Delivery time (nominal arrival + port queueing).
     Bytes bytes;
+    std::int32_t send_pc;
   };
 
   using MsgKey = std::uint64_t;  ///< sim::message_key(src, dst, tag).
@@ -260,6 +273,7 @@ class Engine {
     int dst_rank = 0;        ///< Message receiver.
     int tag = 0;
     int phase = 0;           ///< Sender's phase at the send dispatch.
+    std::int32_t src_pc = 0; ///< Sender's op pc (arrival, RTS).
     Bytes bytes = 0;
     SimTime requested = 0;   ///< Sender's send-dispatch time t_s.
     SimTime start = 0;       ///< Wire start (arrival/cts).
@@ -344,21 +358,30 @@ class Engine {
   /// instant fast path.
   bool use_protocol(int src_rank, int dst_rank) const;
 
-  /// Instant-path transfer (same node, or ideal network): applies no NIC
-  /// state, records the traffic, returns the completion time.
-  SimTime timed_transfer(int send_rank, int recv_rank, SimTime earliest,
-                         Bytes bytes, int tag);
+  /// Instant-path rendezvous transfer (same node, or ideal network):
+  /// applies no NIC state, records the traffic, returns the completion
+  /// time.
+  SimTime timed_transfer(const PendingSend& send, const PendingRecv& recv,
+                         SimTime earliest, int tag);
 
   /// Marks one of `rank`'s outstanding requests resolved with the given
   /// completion time; wakes the rank if it was parked in kWaitAll.
   void resolve_request(int rank, SimTime completion);
 
   /// Instant-path matched rendezvous; wakes both ranks.
-  void complete_rendezvous(int send_rank, SimTime send_ready, int recv_rank,
-                           SimTime recv_ready, Bytes bytes, int tag);
-  /// Instant-path eager send; returns its arrival time at the receiver.
-  SimTime launch_eager(int src_rank, int dst_rank, SimTime now, Bytes bytes,
-                       int tag);
+  void complete_rendezvous(const PendingSend& send, const PendingRecv& recv,
+                           int tag);
+  /// Eager send or isend: launches the payload and books the posting
+  /// overhead; returns when the sender may run on.
+  SimTime post_eager(int rank, SimTime now, const Op& op);
+  /// Instant-path eager transfer: finds the receive it meets (a parked
+  /// recv, then a posted irecv) before committing the message, so the
+  /// record names both endpoints; with no receive posted the payload
+  /// waits as an arrival.
+  void deliver_eager(int rank, SimTime now, const Op& op);
+  /// The running receive takes an arrived payload: names its sender on
+  /// the receive's dispatch record, the running event's latest commit.
+  Arrival take_arrival(MsgKey key, RingQueue<Arrival>& queue);
 
   /// Cross-node eager send: books the sender side (NIC-TX, stats, span)
   /// and emits the kArrival protocol message toward the receiver.
@@ -368,7 +391,7 @@ class Engine {
   /// meets its receive.  Books the receive side, advances the receiver
   /// NIC/port state, and emits the kCts message that unblocks the
   /// sender.  Returns the transfer end time.
-  SimTime rendezvous_match(const PendingSend& ps, int recv_rank,
+  SimTime rendezvous_match(const PendingSend& ps, const PendingRecv& recv,
                            SimTime match_time, SimTime start_base, int tag);
 
   /// Buffers one committed dispatch (the determinism-digest stream).
@@ -383,9 +406,9 @@ class Engine {
   void bin_value(std::vector<double>& lane, SimTime at, double value);
   /// Books a committed instant-path transfer into the stats and, when an
   /// observer is attached, buffers its message record and NIC spans.
-  void account_transfer(int src_rank, int dst_rank, SimTime requested,
-                        SimTime start, SimTime end, Bytes bytes, bool eager,
-                        SimTime fabric_wait, int tag, SimTime latency);
+  void account_transfer(int src_rank, std::int32_t send_pc, int dst_rank,
+                        std::int32_t recv_pc, SimTime start, SimTime end,
+                        Bytes bytes, bool eager, int tag, SimTime latency);
   /// Buffers one resource-lane span (no-op when detached).
   void commit_span(Lane lane, int rank, int node, std::uint8_t kind,
                    SimTime start, SimTime end, SimTime queue_wait,
@@ -421,7 +444,7 @@ class Engine {
   // messages, not messages sent so far.
   flat_map<MsgKey, RingQueue<PendingSend>> pending_sends_;
   flat_map<MsgKey, RingQueue<PendingRecv>> pending_recvs_;
-  flat_map<MsgKey, RingQueue<int>> pending_irecvs_;
+  flat_map<MsgKey, RingQueue<PendingRecv>> pending_irecvs_;
   flat_map<MsgKey, RingQueue<Arrival>> arrivals_;
   std::vector<CommitRec> commits_;  ///< Records of the current timestamp.
   SimTime ev_time_ = 0;             ///< (time, key) of the running event.

@@ -15,7 +15,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -219,22 +221,78 @@ TEST(Telemetry, BaselineDiffGatesChecksumAndThroughput) {
   sample.events_per_second = 1000.0;
   report.samples = {sample};
 
-  std::vector<cluster::PerfSample> baseline = report.samples;
+  cluster::PerfReport baseline = report;
   EXPECT_EQ(cluster::diff_perf_baseline(report, baseline, 0.9), "");
 
-  baseline[0].events_per_second = 2000.0;  // The committed run was faster.
+  // The committed run was faster.
+  baseline.samples[0].events_per_second = 2000.0;
   const std::string slow = cluster::diff_perf_baseline(report, baseline, 0.9);
   EXPECT_NE(slow.find("throughput regressed"), std::string::npos) << slow;
   EXPECT_EQ(cluster::diff_perf_baseline(report, baseline, 0.4), "");
 
-  baseline[0].checksum = 8;
+  baseline.samples[0].checksum = 8;
   const std::string moved = cluster::diff_perf_baseline(report, baseline, 0.4);
   EXPECT_NE(moved.find("committed stream changed"), std::string::npos)
       << moved;
 
-  baseline[0].name = "fig6/y";
+  baseline.samples[0].name = "fig6/y";
   const std::string none = cluster::diff_perf_baseline(report, baseline, 0.4);
   EXPECT_NE(none.find("no case names in common"), std::string::npos) << none;
+}
+
+// Every deterministic counter of a perf sample is gated exactly, and the
+// baseline loader reads each of them back: a committed baseline doctored
+// in any one field fails the diff.
+TEST(Telemetry, BaselineDiffGatesEveryDeterministicCounter) {
+  cluster::PerfReport report;
+  report.alloc_counter_live = true;
+  cluster::PerfSample sample;
+  sample.name = "fig6/x";
+  sample.events = 286560;
+  sample.checksum = 0xa5f0cb88543f138bULL;
+  sample.reps = 2;
+  sample.events_per_second = 5e6;
+  sample.allocs_per_event = 0.011236739251814629;
+  sample.memo_hits = 1485216;
+  sample.memo_misses = 72;
+  report.samples = {sample};
+
+  const std::string path = testing::TempDir() + "perf_baseline_test.json";
+  cluster::write_perf_report(path, report);
+  const cluster::PerfReport loaded = cluster::load_perf_baseline(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.alloc_counter_live);
+  ASSERT_EQ(loaded.samples.size(), 1u);
+  EXPECT_EQ(cluster::diff_perf_baseline(report, loaded, 0.9), "");
+
+  const std::vector<
+      std::pair<const char*, void (*)(cluster::PerfSample&)>>
+      doctored = {
+          {"events", [](cluster::PerfSample& s) { ++s.events; }},
+          {"checksum", [](cluster::PerfSample& s) { s.checksum ^= 1; }},
+          {"reps", [](cluster::PerfSample& s) { ++s.reps; }},
+          {"memo_hits", [](cluster::PerfSample& s) { ++s.memo_hits; }},
+          {"memo_misses", [](cluster::PerfSample& s) { --s.memo_misses; }},
+          {"allocs_per_event",
+           [](cluster::PerfSample& s) { s.allocs_per_event = 0.726; }},
+          {"events_per_second",
+           [](cluster::PerfSample& s) { s.events_per_second *= 2.0; }},
+      };
+  for (const auto& [field, doctor] : doctored) {
+    cluster::PerfReport bad = report;
+    doctor(bad.samples[0]);
+    cluster::write_perf_report(path, bad);
+    const cluster::PerfReport baseline = cluster::load_perf_baseline(path);
+    std::remove(path.c_str());
+    EXPECT_NE(cluster::diff_perf_baseline(report, baseline, 0.9), "") << field;
+  }
+
+  // Without a live allocation counter on both sides, allocs_per_event is
+  // not a measurement and is not compared.
+  cluster::PerfReport unhooked = report;
+  unhooked.alloc_counter_live = false;
+  unhooked.samples[0].allocs_per_event = 0.0;
+  EXPECT_EQ(cluster::diff_perf_baseline(unhooked, loaded, 0.9), "");
 }
 
 }  // namespace
