@@ -505,6 +505,143 @@ constexpr UncontendedRow kUncontended[] = {
      0xccc8c7adb578c99cULL, 0x72a5a7d95df3c3eaULL},
 };
 
+// cluster::replay_scenarios on every golden configuration, in the kGolden
+// order: the event checksum and makespan of the ideal-network and the
+// ideal-balance replays.  These pin the re-timed op streams themselves,
+// not only their agreement with prof::evaluate, so a change to how the
+// replays obtain their ops (recorded or re-pulled) shows here.
+struct ReplayIdealsRow {
+  const char* workload;
+  const char* scenario;
+  std::uint64_t ideal_network_checksum;
+  SimTime ideal_network_makespan;
+  std::uint64_t ideal_balance_checksum;
+  SimTime ideal_balance_makespan;
+};
+
+constexpr ReplayIdealsRow kReplayIdeals[] = {
+    {"hpl", "none", 0x13c4f28af128c8f8ULL, 21847642132LL,
+     0xfec0d4fca751dd30ULL, 25841838220LL},
+    {"hpl", "fault", 0xdf167c9eb70ed61cULL, 54619105344LL,
+     0xc165f3c253ba58e6ULL, 34035568723LL},
+    {"hpl", "noise", 0x94c599deac6b21f5ULL, 21939142132LL,
+     0x1f43b9574214b68fULL, 25944262644LL},
+    {"hpl", "checkpoint", 0x265b075ac973864eULL, 22287642132LL,
+     0xc0a0d0e873bcd28fULL, 26284144787LL},
+    {"jacobi", "none", 0xfab8050ae955791eULL, 6342521700LL,
+     0x2dd947200dd010c6ULL, 7007050887LL},
+    {"jacobi", "fault", 0x9480932a5b94f74aULL, 15787313250LL,
+     0xc0869f7ae6aec336ULL, 9381592340LL},
+    {"jacobi", "noise", 0xdb9769fe51caf1ecULL, 8215975812LL,
+     0x0a3d8d1747508e6fULL, 8945355923LL},
+    {"jacobi", "checkpoint", 0x6833bf57ec20ea2eULL, 6462521700LL,
+     0xba7026adee4ead05ULL, 7131424072LL},
+    {"cloverleaf", "none", 0xbc3c6817d3513e59ULL, 26024090500LL,
+     0x7709ca1a9a445f6fULL, 26623874548LL},
+    {"cloverleaf", "fault", 0x4308c2669ea7a699ULL, 65042152500LL,
+     0x1a3b833f7c43dfe7ULL, 36384515196LL},
+    {"cloverleaf", "noise", 0xf124af3b13b1bca5ULL, 30120872575LL,
+     0x9f6e869957a2c7a1ULL, 30713315449LL},
+    {"cloverleaf", "checkpoint", 0x143d12879b86ac15ULL, 26524006783LL,
+     0xd764478e2d035f1fULL, 27123811461LL},
+    {"tealeaf2d", "none", 0x9842d93be6063fb3ULL, 9957002400LL,
+     0x6d95021f22691e23ULL, 11556566400LL},
+    {"tealeaf2d", "fault", 0xd12e4be0dbfc3037ULL, 24109860000LL,
+     0x0ac2007494e1917eULL, 15179890981LL},
+    {"tealeaf2d", "noise", 0xbee3e31ac0217bdbULL, 15178391565LL,
+     0xa2753946c31acb34ULL, 16678580232LL},
+    {"tealeaf2d", "checkpoint", 0x8cff3617c75acbc1ULL, 10157002400LL,
+     0x54177ffc160432b8ULL, 11775180026LL},
+    {"tealeaf3d", "none", 0x0142f9209735364dULL, 9777600000LL,
+     0xa326888a7d0e3d7fULL, 15130365163LL},
+    {"tealeaf3d", "fault", 0xde8daa4eac0e4462ULL, 24082908000LL,
+     0x6ceb8e4780a261dbULL, 18743475037LL},
+    {"tealeaf3d", "noise", 0x63664bc439dd41a1ULL, 16605156392LL,
+     0xa4f6c0fdb87891e2ULL, 21852519766LL},
+    {"tealeaf3d", "checkpoint", 0xf3e2a03c521297faULL, 10057600000LL,
+     0x2719d1277105466aULL, 15415512498LL},
+    {"alexnet", "none", 0xb7a34e53ebf3fbc9ULL, 1675835250LL,
+     0xb7a34e53ebf3fbc9ULL, 1675835250LL},
+    {"alexnet", "fault", 0xa712ecd84cd418aeULL, 4189588135LL,
+     0xa273725dc764a636ULL, 2305024913LL},
+    {"alexnet", "noise", 0x5c6bf81edb1a6571ULL, 1726335250LL,
+     0x29f46a4e41ad1856ULL, 1724339060LL},
+    {"alexnet", "checkpoint", 0x951c06dd3f8b84d5ULL, 1695835250LL,
+     0x951c06dd3f8b84d5ULL, 1695835250LL},
+    {"googlenet", "none", 0x17f3c98b6d8da061ULL, 2144933223LL,
+     0x17f3c98b6d8da061ULL, 2144933223LL},
+    {"googlenet", "fault", 0x4e59f3f515b58090ULL, 5362333122LL,
+     0x35fa5d12d873d41eULL, 2950034349LL},
+    {"googlenet", "noise", 0x869f532dae8a6d7bULL, 2226433223LL,
+     0xc88f53e0b2a93b42ULL, 2224312429LL},
+    {"googlenet", "checkpoint", 0x74fa67dd05d06ebdULL, 2164933223LL,
+     0x74fa67dd05d06ebdULL, 2164933223LL},
+    {"bt", "none", 0xac7a0423eb62cf28ULL, 13105607600LL,
+     0xa210fa59528160e4ULL, 12840339370LL},
+    {"bt", "fault", 0xccbe85d590a8337dULL, 30896288000LL,
+     0x1264447727b13018ULL, 15161783643LL},
+    {"bt", "noise", 0x318696d1b56ddc55ULL, 13580292300LL,
+     0x3e1ddf636d0ae0fdULL, 13371676213LL},
+    {"bt", "checkpoint", 0x766cd1b5bce20ce6ULL, 13345607600LL,
+     0x5b47c544e059b39eULL, 13091916302LL},
+    {"cg", "none", 0xb0725139fcf3113fULL, 11605581375LL,
+     0x00a3589dd4654f10ULL, 10759817606LL},
+    {"cg", "fault", 0xd58acf6a70de5375ULL, 20948548875LL,
+     0x6a8d194756d9fbdeULL, 12330991999LL},
+    {"cg", "noise", 0xc8351c96e606e999ULL, 17027459992LL,
+     0x4dc5d9aca76a2d46ULL, 16859006332LL},
+    {"cg", "checkpoint", 0x8aa769e522373036ULL, 11943882359LL,
+     0x2fbaeba4312447b3ULL, 11118209039LL},
+    {"ep", "none", 0xd57aeecb2935b052ULL, 32466307424LL,
+     0x4a96167d5e88a2a2ULL, 32051621333LL},
+    {"ep", "fault", 0xed14c4cb404146e2ULL, 79627348448LL,
+     0xebadf2023c37470aULL, 38024421573LL},
+    {"ep", "noise", 0x7a1a389ad6633d74ULL, 32478307424LL,
+     0xae5f72e308da9b50ULL, 32064172821LL},
+    {"ep", "checkpoint", 0x4358d578902051deULL, 32786307424LL,
+     0xc80647e95cfb7a6aULL, 32371621333LL},
+    {"ft", "none", 0x90eee358b7f708d2ULL, 17015381980LL,
+     0x2ca107a09ef9774eULL, 19216423030LL},
+    {"ft", "fault", 0x68bc4d4b378116a8ULL, 41715824560LL,
+     0xe2ac5c71e6b0fa3aULL, 22349351806LL},
+    {"ft", "noise", 0x9323a6f34a673a26ULL, 17212881980LL,
+     0x46a9d2879aa9a446ULL, 19415449466LL},
+    {"ft", "checkpoint", 0xa734b906cf0b3e0eULL, 17395381980LL,
+     0xabcca8e54a69bdbbULL, 19589462059LL},
+    {"is", "none", 0xf9d7d7129cb2bf89ULL, 4073667910LL,
+     0x9cfacbcfcafb890fULL, 4101130330LL},
+    {"is", "fault", 0xd1f582413d1780b6ULL, 9158126050LL,
+     0x8b6211c66ac81d13ULL, 4792115203LL},
+    {"is", "noise", 0xd989c6803e9a9069ULL, 4157167910LL,
+     0x71e007e79eb6c7b4ULL, 4181991918LL},
+    {"is", "checkpoint", 0x4b438ba8617c8d86ULL, 4206854692LL,
+     0x2ff7960ce6f2a415ULL, 4240200898LL},
+    {"lu", "none", 0x40f0f538f231311dULL, 24767016750LL,
+     0xac03ccbb86263a7aULL, 25792395731LL},
+    {"lu", "fault", 0xd6db7f7daf8f67b7ULL, 34872528154LL,
+     0x00f5acf65bed3525ULL, 30015338704LL},
+    {"lu", "noise", 0x37f665295f05b8b8ULL, 29099016750LL,
+     0xca24036b00de3555ULL, 30218363254LL},
+    {"lu", "checkpoint", 0x2771d970145f20fdULL, 26647016750LL,
+     0x9014796373fb2144ULL, 27663834080LL},
+    {"mg", "none", 0xa4d39df74e9bc5a0ULL, 8101177680LL,
+     0x844c57ce6a538902ULL, 7654999541LL},
+    {"mg", "fault", 0x53f3abcfdf262965ULL, 19917928200LL,
+     0xecda0943cdd91780ULL, 9153081163LL},
+    {"mg", "noise", 0xa1b65e781c0dd7f1ULL, 8370177680LL,
+     0xe78084aa71bbbaacULL, 7954977536LL},
+    {"mg", "checkpoint", 0xa07fde1f38cd35fcULL, 8281177680LL,
+     0xa7f971bb243345daULL, 7847764833LL},
+    {"sp", "none", 0xb1c411ca3bbfec40ULL, 14393568400LL,
+     0x0e6c3f306a81f350ULL, 13981545822LL},
+    {"sp", "fault", 0xb34c0910b9496e3dULL, 34385118000LL,
+     0x1650f74b6be10456ULL, 16561178395LL},
+    {"sp", "noise", 0x29b6762f4162b8fdULL, 15086707659LL,
+     0xaa76b39079ae6aa9ULL, 14835493190LL},
+    {"sp", "checkpoint", 0x38d0eb8ff39564fcULL, 14713568400LL,
+     0x7ff06fb8c04f51f5ULL, 14319852999LL},
+};
+
 // The single-pass what-ifs re-run the engine on the recorded trace; on
 // every golden configuration they must land exactly on the makespans of
 // the replay-based scenarios (stream form: the ideals replay the op
@@ -546,9 +683,33 @@ TEST(Determinism, WhatIfReRunsMatchReplaysOnGoldenSet) {
       EXPECT_EQ(profile.uncontended, u.makespan) << expected;
       EXPECT_EQ(td, u.trace_digest) << expected;
       EXPECT_EQ(ad, u.artifact_digest) << expected;
+
+      char replayed[224];
+      std::snprintf(
+          replayed, sizeof replayed,
+          "{\"%s\", \"%s\", 0x%016llxULL, %lldLL, 0x%016llxULL, %lldLL},",
+          name.c_str(), scenario,
+          static_cast<unsigned long long>(runs.ideal_network.event_checksum),
+          static_cast<long long>(runs.ideal_network.makespan),
+          static_cast<unsigned long long>(runs.ideal_balance.event_checksum),
+          static_cast<long long>(runs.ideal_balance.makespan));
+      ASSERT_LT(row - 1, std::size(kReplayIdeals))
+          << "missing row " << replayed;
+      const ReplayIdealsRow& i = kReplayIdeals[row - 1];
+      EXPECT_EQ(name, i.workload) << replayed;
+      EXPECT_STREQ(scenario, i.scenario) << replayed;
+      EXPECT_EQ(runs.ideal_network.event_checksum, i.ideal_network_checksum)
+          << replayed;
+      EXPECT_EQ(runs.ideal_network.makespan, i.ideal_network_makespan)
+          << replayed;
+      EXPECT_EQ(runs.ideal_balance.event_checksum, i.ideal_balance_checksum)
+          << replayed;
+      EXPECT_EQ(runs.ideal_balance.makespan, i.ideal_balance_makespan)
+          << replayed;
     }
   }
   EXPECT_EQ(row, std::size(kUncontended));
+  EXPECT_EQ(row, std::size(kReplayIdeals));
 }
 
 // ---------------------------------------------------------------------------
