@@ -168,15 +168,19 @@ trace::ScenarioRuns replay_scenarios(const RunRequest& request,
                                      const workloads::Workload& workload,
                                      const ClusterCostModel& cost) {
   validate(request.config);
-  // The measured run streams (recording as it goes) and the two ideal
-  // replays re-time the recorded op sequence, so time-dependent
-  // decorators are sampled exactly once.
-  std::unique_ptr<workloads::OpStream> stream = workloads::apply_scenarios(
-      workload.stream(build_context(request.config, request.options)),
-      request.scenario, request.config.nodes);
+  // Each scenario may open its own stream: a plain workload stream is
+  // pulled afresh, while one that a clock-reading decorator wraps is
+  // opened once and recorded (trace/replay.h).
+  const workloads::BuildContext ctx =
+      build_context(request.config, request.options);
   return trace::replay_scenarios(
       sim::Placement::block(request.config.ranks, request.config.nodes), cost,
-      *stream, engine_config(request.config, request.options));
+      [&]() -> std::unique_ptr<sim::OpSource> {
+        return workloads::apply_scenarios(workload.stream(ctx),
+                                          request.scenario,
+                                          request.config.nodes);
+      },
+      engine_config(request.config, request.options));
 }
 
 trace::ScenarioRuns replay_scenarios(const RunRequest& request) {

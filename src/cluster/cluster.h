@@ -144,9 +144,12 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
               const ClusterCostModel& cost);
 
 /// Runs the three DIMEMAS-style scenarios (measured / ideal network /
-/// ideal load balance) over the same generated programs.  The request's
-/// observability sinks are ignored — scenario replays feed the
-/// efficiency decomposition, not per-run artifacts.
+/// ideal load balance) over the same generated ops: each scenario pulls a
+/// fresh workload stream, unless the request's fault, noise or checkpoint
+/// decorators read the clock, in which case the measured run is recorded
+/// and re-timed.  The request's observability sinks are ignored —
+/// scenario replays feed the efficiency decomposition, not per-run
+/// artifacts.
 trace::ScenarioRuns replay_scenarios(const RunRequest& request);
 trace::ScenarioRuns replay_scenarios(const RunRequest& request,
                                      const workloads::Workload& workload,

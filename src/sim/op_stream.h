@@ -8,10 +8,17 @@
 // the engine is serial and its event order is fixed, hence so is every
 // (rank, now) pull sequence.
 //
+// A source that never reads `now` hands each rank the same op sequence
+// under any schedule, and declares so through schedule_independent():
+// a what-if replay (trace::replay_scenarios) then opens a fresh source of
+// the same ops instead of storing the measured run.  A source that reads
+// the clock keeps the default `false`, and the replay tees its measured
+// run through RecordingSource so the what-ifs re-time exactly the ops it
+// committed.
+//
 // ProgramSource walks materialized programs (one std::vector<Op> per
 // rank: a loaded trace, or Workload::build()'s output); RecordingSource
-// tees any source into materialized programs so a streamed run can be
-// replayed verbatim under what-if scenarios (trace::replay_scenarios).
+// tees any source into materialized programs.
 #pragma once
 
 #include <vector>
@@ -37,6 +44,12 @@ class OpSource {
   /// Pulls `rank`'s next op at simulation time `now`.  Returns false at
   /// end of stream (and `*op` is left untouched).
   virtual bool next(int rank, SimTime now, Op* op) = 0;
+
+  /// True when no op depends on `now` or on how the ranks' pulls
+  /// interleave, so a fresh source over the same inputs yields every
+  /// rank's sequence again, whatever the schedule.  Defaults to false:
+  /// a replay records the ops of a source that does not say otherwise.
+  virtual bool schedule_independent() const { return false; }
 };
 
 /// Walks pre-built per-rank programs (non-owning; the vector must outlive
@@ -47,6 +60,7 @@ class ProgramSource final : public OpSource {
 
   int ranks() const override;
   bool next(int rank, SimTime now, Op* op) override;
+  bool schedule_independent() const override { return true; }
 
  private:
   const std::vector<Program>* programs_;

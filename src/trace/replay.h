@@ -2,11 +2,21 @@
 //
 // The paper records Extrae traces on the real cluster and re-simulates
 // them under (a) the real network, (b) an ideal network with zero latency
-// and unlimited bandwidth, and (c) perfect load balance.  Our programs
-// *are* the traces, so the scenarios are three replays of the same
-// programs with different engine scenarios.
+// and unlimited bandwidth, and (c) perfect load balance.  Our op streams
+// *are* the traces, so the scenarios are three runs of the same ops with
+// different engine scenarios.
+//
+// The runs take their ops from a factory that opens a fresh source.  When
+// the first source is schedule-independent (sim::OpSource), each scenario
+// pulls its own fresh source and nothing is stored, so memory follows
+// what is in flight.  Otherwise the measured run is teed through
+// sim::RecordingSource and the two ideals re-time the recorded programs:
+// a source that reads the clock (fault, noise and checkpoint decorators)
+// would inject its stalls differently under another schedule.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.h"
@@ -22,20 +32,21 @@ struct ScenarioRuns {
                                ///< the traces with the real network").
 };
 
+/// Opens a fresh source over the same ops on every call.
+using SourceFactory = std::function<std::unique_ptr<sim::OpSource>()>;
+
+/// Runs all three scenarios over the ops `open` yields.  It is called
+/// three times when its first source is schedule-independent, and once
+/// otherwise.
+ScenarioRuns replay_scenarios(const sim::Placement& placement,
+                              const sim::CostModel& cost,
+                              const SourceFactory& open,
+                              const sim::EngineConfig& config = {});
+
 /// Runs all three scenarios over the same programs.
 ScenarioRuns replay_scenarios(const sim::Placement& placement,
                               const sim::CostModel& cost,
                               const std::vector<sim::Program>& programs,
-                              const sim::EngineConfig& config = {});
-
-/// Stream form: the measured run pulls `source` through a recording tee,
-/// and the two ideals replay the recorded programs.  This preserves
-/// trace-replay semantics under time-dependent streams (fault/noise
-/// decorators): the what-ifs re-time exactly the op sequence the
-/// measured run committed, instead of re-sampling the decorators under
-/// a different schedule.
-ScenarioRuns replay_scenarios(const sim::Placement& placement,
-                              const sim::CostModel& cost, sim::OpSource& source,
                               const sim::EngineConfig& config = {});
 
 }  // namespace soc::trace

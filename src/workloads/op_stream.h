@@ -51,6 +51,8 @@ class StepStream final : public OpStream {
 
   int ranks() const override { return ps_.ranks(); }
   sim::Op get_next(int rank, SimTime now) override;
+  /// Steps depend on the step index alone, never on `now`.
+  bool schedule_independent() const override { return true; }
 
  private:
   msg::ProgramSet ps_;

@@ -27,7 +27,8 @@ bool is_scalable(OpKind kind) {
 // Shared decorator plumbing: inner pull with per-rank phase tracking (so
 // injected delays are attributed to the phase the rank was in), plus a
 // one-op stash for decorators that must hold the pulled op back while
-// they emit a delay first.
+// they emit a delay first.  A decorator that reads `now` keeps
+// OpSource's schedule_independent() == false.
 class StreamDecorator : public OpStream {
  public:
   explicit StreamDecorator(std::unique_ptr<OpStream> inner)
@@ -39,6 +40,8 @@ class StreamDecorator : public OpStream {
   int ranks() const override { return inner_->ranks(); }
 
  protected:
+  const OpStream& inner() const { return *inner_; }
+
   Op pull(int rank, SimTime now) {
     const std::size_t r = static_cast<std::size_t>(rank);
     if (has_pending_[r]) {
@@ -148,6 +151,11 @@ class StragglerStream final : public StreamDecorator {
     Op op = pull(rank, now);
     if (rank == rank_ && is_scalable(op.kind)) op.time_scale *= slowdown_;
     return op;
+  }
+
+  // Rescales the inner stream's ops without reading the clock.
+  bool schedule_independent() const override {
+    return inner().schedule_independent();
   }
 
  private:

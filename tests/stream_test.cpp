@@ -133,6 +133,43 @@ TEST(OpStream, EmptyScenarioIsIdentity) {
   EXPECT_EQ(clean.stats.event_checksum, again.stats.event_checksum);
 }
 
+// Only a source that reads the clock needs recording before a what-if:
+// generated streams and fixed programs do not, every decorator that
+// injects work at a time does, and a straggler answers for its inner
+// stream.
+TEST(OpStream, ScheduleIndependenceOfEverySource) {
+  const auto workload = workloads::make_workload("jacobi");
+  const workloads::BuildContext ctx = quick_context(4, 4);
+  const auto decorated = [&](const char* faults, const char* noise,
+                             const char* checkpoint) {
+    return workloads::apply_scenarios(
+        workload->stream(ctx),
+        workloads::parse_scenario(faults, noise, checkpoint), ctx.nodes);
+  };
+
+  EXPECT_TRUE(workload->stream(ctx)->schedule_independent());
+  const std::vector<sim::Program> programs(2);
+  EXPECT_TRUE(sim::ProgramSource(programs).schedule_independent());
+
+  EXPECT_FALSE(decorated("node-crash:node=1,t=0.001,down=0.002", "", "")
+                   ->schedule_independent());
+  EXPECT_FALSE(decorated("link-flap:node=1,t0=0.001,t1=0.002", "", "")
+                   ->schedule_independent());
+  EXPECT_FALSE(decorated("", "interval=0.003,duration=0.0005", "")
+                   ->schedule_independent());
+  EXPECT_FALSE(decorated("", "", "daly:size=1e8,bw=5e9,mtti=30")
+                   ->schedule_independent());
+
+  EXPECT_TRUE(decorated("straggler:rank=1,slowdown=2", "", "")
+                  ->schedule_independent());
+  // Faults wrap in spec order, so this straggler's inner stream is the
+  // crash decorator.
+  EXPECT_FALSE(decorated("node-crash:node=1,t=0.001,down=0.002;"
+                         "straggler:rank=1,slowdown=2",
+                         "", "")
+                   ->schedule_independent());
+}
+
 // --- BuildContext validation ---------------------------------------------
 
 TEST(BuildContext, ValidationNamesTheOffendingField) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/error.h"
 #include "core/counters_analysis.h"
@@ -11,6 +12,7 @@
 #include "core/roofline.h"
 #include "core/scaling.h"
 #include "sim/engine.h"
+#include "sim/op_stream.h"
 #include "trace/chop.h"
 #include "trace/export.h"
 #include "trace/replay.h"
@@ -96,6 +98,125 @@ TEST(Replay, ScenarioOrdering) {
   // Ideal network can only help; ideal balance too (for this workload).
   EXPECT_LE(runs.ideal_network.seconds(), runs.measured.seconds());
   EXPECT_LE(runs.ideal_balance.seconds(), runs.measured.seconds() + 1e-9);
+}
+
+// Walks fixed programs like sim::ProgramSource, counting its pulls; it
+// declares itself schedule-independent.
+class CountingSource final : public sim::OpSource {
+ public:
+  CountingSource(const std::vector<sim::Program>& programs, int* pulls)
+      : inner_(programs), pulls_(pulls) {}
+
+  int ranks() const override { return inner_.ranks(); }
+  bool next(int rank, SimTime now, sim::Op* op) override {
+    ++*pulls_;
+    return inner_.next(rank, now, op);
+  }
+  bool schedule_independent() const override { return true; }
+
+ private:
+  sim::ProgramSource inner_;
+  int* pulls_;
+};
+
+// Two ranks exchanging messages, with compute whose size is read off the
+// clock at each pull: a different schedule yields different ops.
+class ClockSource final : public sim::OpSource {
+ public:
+  int ranks() const override { return 2; }
+  bool next(int rank, SimTime now, sim::Op* op) override {
+    int& pc = pc_[static_cast<std::size_t>(rank)];
+    if (pc >= 4 * kIters) return false;
+    const int step = pc++;
+    const int tag = step / 4;
+    switch (step % 4) {
+      case 0:
+        *op = sim::phase_op(tag);
+        break;
+      case 1:
+        *op = sim::cpu_op(static_cast<double>(kMillisecond + now % 7000000),
+                          1e6, 0, 0);
+        break;
+      case 2:
+        *op = rank == 0 ? sim::send_op(1, kMB, tag) : sim::recv_op(0, kMB, tag);
+        break;
+      default:
+        *op = rank == 0 ? sim::recv_op(1, kMB, tag) : sim::send_op(0, kMB, tag);
+    }
+    return true;
+  }
+
+ private:
+  static constexpr int kIters = 6;
+  int pc_[2] = {0, 0};
+};
+
+// A schedule-independent source is opened once per scenario and pulled
+// in full each time: nothing is recorded, and the runs equal those over
+// the programs.
+TEST(Replay, ScheduleIndependentSourceIsOpenedPerScenario) {
+  SimpleCost cost;
+  const auto programs = unbalanced_programs();
+  std::size_t ops = 0;
+  for (const sim::Program& p : programs) ops += p.size();
+  std::size_t opened = 0;
+  std::vector<int> pulls(3, 0);
+  const auto runs = trace::replay_scenarios(
+      sim::Placement::block(2, 2), cost,
+      [&]() -> std::unique_ptr<sim::OpSource> {
+        return std::make_unique<CountingSource>(programs, &pulls.at(opened++));
+      });
+  EXPECT_EQ(opened, 3u);
+  // Every source saw each op once plus one end-of-stream pull per rank.
+  for (const int p : pulls) EXPECT_EQ(p, static_cast<int>(ops) + 2);
+
+  const auto built = trace::replay_scenarios(sim::Placement::block(2, 2),
+                                             cost, programs);
+  EXPECT_EQ(runs.measured.event_checksum, built.measured.event_checksum);
+  EXPECT_EQ(runs.ideal_network.event_checksum,
+            built.ideal_network.event_checksum);
+  EXPECT_EQ(runs.ideal_balance.event_checksum,
+            built.ideal_balance.event_checksum);
+}
+
+// A source that reads the clock is opened once: the measured run records
+// its ops, and both ideals re-time that recording rather than pulling a
+// fresh source under their own schedule.
+TEST(Replay, ClockReadingSourceIsRecordedOnce) {
+  SimpleCost cost;
+  const sim::Placement placement = sim::Placement::block(2, 2);
+  int opened = 0;
+  const auto runs = trace::replay_scenarios(
+      placement, cost, [&]() -> std::unique_ptr<sim::OpSource> {
+        ++opened;
+        return std::make_unique<ClockSource>();
+      });
+  EXPECT_EQ(opened, 1);
+  EXPECT_FALSE(ClockSource().schedule_independent());
+
+  ClockSource measured_source;
+  sim::RecordingSource recording(measured_source);
+  sim::Engine measured(placement, cost);
+  const sim::RunStats stats = measured.run(recording);
+  EXPECT_EQ(runs.measured.event_checksum, stats.event_checksum);
+
+  sim::Scenario ideal_network;
+  ideal_network.ideal_network = true;
+  sim::Engine ideal(placement, cost, {}, ideal_network);
+  EXPECT_EQ(runs.ideal_network.event_checksum,
+            ideal.run(recording.programs()).event_checksum);
+  sim::Scenario ideal_balance;
+  ideal_balance.compute_scale = sim::ideal_balance_scales(stats);
+  sim::Engine balanced(placement, cost, {}, ideal_balance);
+  EXPECT_EQ(runs.ideal_balance.event_checksum,
+            balanced.run(recording.programs()).event_checksum);
+
+  // A fresh pull under the ideal network reads other times, so re-pulling
+  // would have re-timed different ops.
+  ClockSource fresh;
+  sim::Engine repulled(placement, cost, {}, ideal_network);
+  EXPECT_NE(runs.ideal_network.event_checksum,
+            repulled.run(fresh).event_checksum);
 }
 
 TEST(Efficiency, FactorsMultiplyToEta) {
