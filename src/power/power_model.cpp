@@ -138,11 +138,23 @@ EnergyReport measure_energy(const sim::RunStats& stats,
   return report;
 }
 
+double idle_floor_w(const NodePowerConfig& node, int nodes) {
+  double idle = 0.0;
+  for (int n = 0; n < nodes; ++n) idle += node.idle_w + node.host_overhead_w;
+  return idle + static_cast<double>(nodes) * node.nic_idle_w;
+}
+
 CappedEnergy apply_power_cap(const PowerTimeline& timeline,
                              const NodePowerConfig& node, int nodes,
                              double cap_w) {
   SOC_CHECK(nodes > 0, "need at least one node");
   SOC_CHECK(cap_w > 0.0, "power cap must be positive");
+  // The frequency-independent floor (board + host + NIC idle) burns
+  // whether or not work makes progress; only the active draw above it
+  // can be slowed down.
+  const double floor_w = idle_floor_w(node, nodes);
+  SOC_CHECK(cap_w > floor_w,
+            "power cap below the cluster's idle floor; run cannot finish");
   CappedEnergy out;
   out.energy.seconds = timeline.seconds;
   if (timeline.seconds <= 0.0) return out;
@@ -166,14 +178,9 @@ CappedEnergy apply_power_cap(const PowerTimeline& timeline,
       e.breakdown.dram += parts.dram * width;
       continue;
     }
-    // The frequency-independent floor (board + host + NIC idle) burns
-    // whether or not work makes progress; only the active draw above it
-    // can be slowed down.  Conserving active energy at the capped active
-    // rate dilates the bin by d, so the clamped bin sits exactly at the
-    // cap: (floor + active/d) == cap_w.
-    const double floor_w = parts.idle + nic_idle;
-    SOC_CHECK(cap_w > floor_w,
-              "power cap below the cluster's idle floor; run cannot finish");
+    // Conserving active energy at the capped active rate dilates the bin
+    // by d, so the clamped bin sits exactly at the cap:
+    // (floor + active/d) == cap_w.
     const double active_w = watts - floor_w;
     const double dilation = active_w / (cap_w - floor_w);
     const double stretched = width * dilation;

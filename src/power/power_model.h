@@ -111,9 +111,15 @@ struct CappedEnergy {
   std::size_t capped_bins = 0;
 };
 
-/// `nodes` is the cluster size; the idle floor per bin is the board +
-/// host + NIC-idle draw.  Throws soc::Error when the cap does not clear
-/// the idle floor (the run could never finish).
+/// The draw a cluster of `nodes` burns whether or not work makes
+/// progress: nodes × (board idle + host overhead + NIC idle).  It is
+/// fixed by the config, so a cap at or below it can be refused before a
+/// run.  Summed node by node, as power_timeline() sums each bin, so it
+/// equals every bin's floor bit for bit.
+double idle_floor_w(const NodePowerConfig& node, int nodes);
+
+/// `nodes` is the cluster size.  Throws soc::Error when the cap does not
+/// clear idle_floor_w() (the run could never finish).
 CappedEnergy apply_power_cap(const PowerTimeline& timeline,
                              const NodePowerConfig& node, int nodes,
                              double cap_w);

@@ -212,7 +212,11 @@ TEST(Power, CapBelowIdleFloorThrows) {
   const power::NodePowerConfig node = test_node();
   const power::PowerTimeline tl = power::power_timeline(stats, node, 4);
   // Floor per bin: 2 nodes x (idle 4 + host 0.5 + nic idle 0.4) = 9.8 W.
+  EXPECT_DOUBLE_EQ(power::idle_floor_w(node, 2), 9.8);
   EXPECT_THROW(power::apply_power_cap(tl, node, 2, 5.0), Error);
+  EXPECT_THROW(
+      power::apply_power_cap(tl, node, 2, power::idle_floor_w(node, 2)),
+      Error);
 }
 
 }  // namespace

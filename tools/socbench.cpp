@@ -96,6 +96,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/engine_telemetry.h"
 #include "obs/observers.h"
+#include "power/power_model.h"
 #include "prof/critical_path.h"
 #include "prof/energy.h"
 #include "prof/profile.h"
@@ -169,6 +170,25 @@ std::vector<double> numbers_from(const ArgParser& args,
   std::vector<double> values = parse_double_list(args.get(flag));
   for (const double v : values) checked(args, flag, v, fraction);
   return values;
+}
+
+/// --cap-watts values.  A cap at or below the cluster's idle floor could
+/// never let the run finish, so it is a usage error too.
+std::vector<double> caps_from(const ArgParser& args,
+                              const power::NodePowerConfig& node, int nodes) {
+  std::vector<double> caps = numbers_from(args, "--cap-watts");
+  const double floor_w = power::idle_floor_w(node, nodes);
+  for (const double cap : caps) {
+    if (!(cap > floor_w)) {
+      char message[128];
+      std::snprintf(message, sizeof message,
+                    "--cap-watts must exceed the %.2f W idle floor of %d "
+                    "node(s), got %g",
+                    floor_w, nodes, cap);
+      throw UsageError(message);
+    }
+  }
+  return caps;
 }
 
 std::unique_ptr<workloads::Workload> workload_from(const ArgParser& args) {
@@ -627,7 +647,7 @@ int cmd_explain(const ArgParser& args) {
   prof::RunTrace run_trace;
   std::vector<double> dvfs, caps;
   if (args.given("--dvfs")) dvfs = numbers_from(args, "--dvfs");
-  if (args.given("--cap-watts")) caps = numbers_from(args, "--cap-watts");
+  if (args.given("--cap-watts")) caps = caps_from(args, node.power, nodes);
   const bool want_retime = !dvfs.empty() || !caps.empty();
   if (want_retime) request.run_trace = &run_trace;
   const auto result = cluster::run(request);
