@@ -71,11 +71,17 @@ PerfReport measure_engine(const std::vector<PerfCase>& cases,
     sample.reps = config.reps;
     {
       // Warm-up: fills the memo cache and the engine pools, and records
-      // the case's event count and checksum (identical every rep).
-      sim::Engine engine(placement, memo, engine_config, scenario);
+      // the case's event count, checksum and queue high-water mark
+      // (identical every rep).  Telemetry rides on this rep only, so the
+      // timed reps stay detached.
+      sim::EngineTelemetry telemetry;
+      sim::EngineConfig warm_config = engine_config;
+      warm_config.telemetry = &telemetry;
+      sim::Engine engine(placement, memo, warm_config, scenario);
       const auto stats = engine.run(programs);
       sample.events = stats.events_committed;
       sample.checksum = stats.event_checksum;
+      sample.queue_high_water = telemetry.shard.front().queue_high_water;
     }
     const std::uint64_t allocs_before = allocation_count();
     const auto t0 = Clock::now();
@@ -132,6 +138,7 @@ std::string perf_report_json(const PerfReport& report) {
     w.field("allocs_per_event", s.allocs_per_event);
     w.field("memo_hits", static_cast<std::uint64_t>(s.memo_hits));
     w.field("memo_misses", static_cast<std::uint64_t>(s.memo_misses));
+    w.field("queue_high_water", s.queue_high_water);
     w.end_object();
   }
   w.newline();
@@ -176,7 +183,8 @@ std::string counters(const PerfSample& p) {
   return "events " + std::to_string(p.events) + ", checksum " +
          checksum_hex(p.checksum) + ", reps " + std::to_string(p.reps) +
          ", memo hits/misses " + std::to_string(p.memo_hits) + "/" +
-         std::to_string(p.memo_misses) + ", allocs/event " +
+         std::to_string(p.memo_misses) + ", queue high water " +
+         std::to_string(p.queue_high_water) + ", allocs/event " +
          std::to_string(p.allocs_per_event);
 }
 
@@ -194,7 +202,8 @@ PerfReport load_perf_baseline(const std::string& path) {
     PerfSample s;
     if (!extract_string(line, "name", &s.name)) continue;
     std::string checksum;
-    double events = 0.0, reps = 0.0, hits = 0.0, misses = 0.0;
+    double events = 0.0, reps = 0.0, hits = 0.0, misses = 0.0,
+           high_water = 0.0;
     SOC_CHECK(extract_string(line, "checksum", &checksum) &&
                   extract_number(line, "events", &events) &&
                   extract_number(line, "reps", &reps) &&
@@ -203,13 +212,15 @@ PerfReport load_perf_baseline(const std::string& path) {
                   extract_number(line, "allocs_per_event",
                                  &s.allocs_per_event) &&
                   extract_number(line, "memo_hits", &hits) &&
-                  extract_number(line, "memo_misses", &misses),
+                  extract_number(line, "memo_misses", &misses) &&
+                  extract_number(line, "queue_high_water", &high_water),
               "malformed perf baseline sample: " + line);
     s.events = static_cast<std::uint64_t>(events);
     s.checksum = std::strtoull(checksum.c_str(), nullptr, 16);
     s.reps = static_cast<int>(reps);
     s.memo_hits = static_cast<std::uint64_t>(hits);
     s.memo_misses = static_cast<std::uint64_t>(misses);
+    s.queue_high_water = static_cast<std::uint64_t>(high_water);
     baseline.samples.push_back(std::move(s));
   }
   SOC_CHECK(!baseline.samples.empty(),
@@ -236,8 +247,9 @@ std::string diff_perf_baseline(const PerfReport& report,
     ++matched;
     // Memo counters accumulate over the repetitions, so reps must match.
     if (std::tie(s->events, s->checksum, s->reps, s->memo_hits,
-                 s->memo_misses) != std::tie(b.events, b.checksum, b.reps,
-                                             b.memo_hits, b.memo_misses) ||
+                 s->memo_misses, s->queue_high_water) !=
+            std::tie(b.events, b.checksum, b.reps, b.memo_hits, b.memo_misses,
+                     b.queue_high_water) ||
         (allocs && s->allocs_per_event != b.allocs_per_event)) {
       failures += "perf baseline: " + b.name + " committed stream changed (" +
                   counters(b) + " -> " + counters(*s) + ")\n";

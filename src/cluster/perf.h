@@ -43,6 +43,8 @@ struct PerfSample {
   double allocs_per_event = 0.0;   ///< 0 unless soc_alloc_hooks is linked.
   std::uint64_t memo_hits = 0;     ///< Cost-model cache hits (all reps).
   std::uint64_t memo_misses = 0;
+  /// Most events the queue held at once (EngineTelemetry, warm-up rep).
+  std::uint64_t queue_high_water = 0;
 };
 
 struct PerfReport {
@@ -62,7 +64,8 @@ struct PerfReport {
 std::vector<PerfCase> default_perf_cases(bool quick);
 
 /// Runs every case: builds programs and cost model, one untimed warm-up
-/// repetition, then `config.reps` timed Engine::run calls.
+/// repetition (with EngineTelemetry attached), then `config.reps` timed
+/// Engine::run calls with nothing attached.
 PerfReport measure_engine(const std::vector<PerfCase>& cases,
                           const PerfConfig& config);
 
@@ -75,13 +78,14 @@ void write_perf_report(const std::string& path, const PerfReport& report);
 /// Reads a perf_report_json document back (the committed
 /// BENCH_engine.json baseline).  Only the comparison fields are
 /// recovered: alloc_counter_live and, per sample, name, events, checksum,
-/// reps, events_per_second, allocs_per_event, memo_hits and memo_misses.
+/// reps, events_per_second, allocs_per_event, memo_hits, memo_misses and
+/// queue_high_water.
 PerfReport load_perf_baseline(const std::string& path);
 
 /// Compares a fresh report against a committed baseline.  Cases present
 /// in both must agree exactly on every deterministic counter: events,
-/// checksum, memo hits and misses (for the same reps), and
-/// allocs_per_event when both reports counted allocations.  Throughput
+/// checksum, memo hits and misses (for the same reps), queue_high_water,
+/// and allocs_per_event when both reports counted allocations.  Throughput
 /// may not drop below `tolerance` x the baseline's events/s (wall-clock
 /// is machine-dependent, so that gate is deliberately loose).  Returns
 /// an empty string on success, else a newline-terminated failure list.

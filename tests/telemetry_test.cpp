@@ -206,6 +206,8 @@ TEST(Telemetry, DetachedPerfRunStaysZeroOverhead) {
     EXPECT_EQ(a.checksum, b.checksum) << a.name;
     EXPECT_EQ(a.events, b.events) << a.name;
     EXPECT_DOUBLE_EQ(a.allocs_per_event, b.allocs_per_event) << a.name;
+    EXPECT_GT(a.queue_high_water, 0u) << a.name;
+    EXPECT_EQ(a.queue_high_water, b.queue_high_water) << a.name;
     EXPECT_GT(a.events_per_second, 0.0) << a.name;
   }
 }
@@ -255,6 +257,7 @@ TEST(Telemetry, BaselineDiffGatesEveryDeterministicCounter) {
   sample.allocs_per_event = 0.011236739251814629;
   sample.memo_hits = 1485216;
   sample.memo_misses = 72;
+  sample.queue_high_water = 45;
   report.samples = {sample};
 
   const std::string path = testing::TempDir() + "perf_baseline_test.json";
@@ -273,6 +276,8 @@ TEST(Telemetry, BaselineDiffGatesEveryDeterministicCounter) {
           {"reps", [](cluster::PerfSample& s) { ++s.reps; }},
           {"memo_hits", [](cluster::PerfSample& s) { ++s.memo_hits; }},
           {"memo_misses", [](cluster::PerfSample& s) { --s.memo_misses; }},
+          {"queue_high_water",
+           [](cluster::PerfSample& s) { ++s.queue_high_water; }},
           {"allocs_per_event",
            [](cluster::PerfSample& s) { s.allocs_per_event = 0.726; }},
           {"events_per_second",
