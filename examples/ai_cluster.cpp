@@ -40,21 +40,15 @@ int main() {
   // --- Cluster-level study. ---
   struct System {
     const char* label;
-    cluster::Cluster cluster;
+    cluster::ClusterConfig config;
     double core_ghz;
   };
   const System systems[] = {
       {"TX1 x4 (10GbE)",
-       cluster::Cluster(cluster::ClusterConfig{
-           systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 16}),
-       1.73},
+       {systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 16}, 1.73},
       {"TX1 x16 (10GbE)",
-       cluster::Cluster(cluster::ClusterConfig{
-           systems::jetson_tx1(net::NicKind::kTenGigabit), 16, 64}),
-       1.73},
-      {"Xeon + 2x GTX980",
-       cluster::Cluster(cluster::ClusterConfig{systems::xeon_gtx980(), 2, 16}),
-       2.4},
+       {systems::jetson_tx1(net::NicKind::kTenGigabit), 16, 64}, 1.73},
+      {"Xeon + 2x GTX980", {systems::xeon_gtx980(), 2, 16}, 2.4},
   };
 
   for (const auto network : {workloads::DnnWorkload::Network::kAlexNet,
@@ -66,7 +60,10 @@ int main() {
     TextTable table({"system", "runtime (s)", "images/s", "energy (kJ)",
                      "avg W", "CPU core-s/s"});
     for (const System& s : systems) {
-      const cluster::RunResult r = s.cluster.run(workload);
+      cluster::RunRequest request;
+      request.workload_ref = &workload;
+      request.config = s.config;
+      const cluster::RunResult r = cluster::run(request);
       double cpu_busy = 0.0;
       for (const sim::RankStats& rs : r.stats.ranks) {
         cpu_busy += to_seconds(rs.cpu_busy);

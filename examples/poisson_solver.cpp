@@ -17,7 +17,6 @@
 #include "workloads/kernels/multigrid.h"
 #include "workloads/kernels/sparse.h"
 #include "workloads/kernels/stencil.h"
-#include "workloads/scientific.h"
 
 int main() {
   using namespace soc;
@@ -80,9 +79,10 @@ int main() {
   for (int nodes : {2, 8, 16}) {
     for (net::NicKind nic :
          {net::NicKind::kGigabit, net::NicKind::kTenGigabit}) {
-      const cluster::Cluster tx(cluster::ClusterConfig{
-          systems::jetson_tx1(nic), nodes, nodes});
-      const auto result = tx.run(workloads::JacobiWorkload());
+      cluster::RunRequest request;
+      request.workload = "jacobi";
+      request.config = {systems::jetson_tx1(nic), nodes, nodes};
+      const auto result = cluster::run(request);
       proj.add_row({std::to_string(nodes),
                     nic == net::NicKind::kGigabit ? "1GbE" : "10GbE",
                     TextTable::num(result.seconds, 1),

@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  cluster::RunOptions options;
-  options.size_scale = scale;
+  cluster::RunRequest request;
+  request.workload_ref = workload.get();
+  request.options.size_scale = scale;
 
   TextTable table({"nodes", "runtime (s)", "LB", "Ser", "Trf", "efficiency",
                    "speedup vs 2"});
@@ -45,9 +46,9 @@ int main(int argc, char** argv) {
     int ranks = nodes;
     if (name == "alexnet" || name == "googlenet") ranks = 4 * nodes;
     if (!workload->gpu_accelerated()) ranks = 2 * nodes;
-    const cluster::Cluster tx(cluster::ClusterConfig{
-        systems::jetson_tx1(net::NicKind::kTenGigabit), nodes, ranks});
-    const auto runs = tx.replay_scenarios(*workload, options);
+    request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                      ranks};
+    const auto runs = cluster::replay_scenarios(request);
     const core::EfficiencyDecomposition d = core::decompose(runs);
     const double seconds = runs.measured.seconds();
     if (nodes == 2) t2 = seconds;
@@ -70,16 +71,11 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // What dominates? Point the user at the bottleneck the way §III-B.4 does.
-  const auto runs = cluster::Cluster(
-                        cluster::ClusterConfig{
-                            systems::jetson_tx1(net::NicKind::kTenGigabit),
-                            16,
-                            workload->gpu_accelerated()
-                                ? (name == "alexnet" || name == "googlenet"
-                                       ? 64
-                                       : 16)
-                                : 32})
-                        .replay_scenarios(*workload, options);
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), 16,
+                    workload->gpu_accelerated()
+                        ? (name == "alexnet" || name == "googlenet" ? 64 : 16)
+                        : 32};
+  const auto runs = cluster::replay_scenarios(request);
   const core::EfficiencyDecomposition d = core::decompose(runs);
   const char* bottleneck = "well balanced";
   if (d.transfer <= d.load_balance && d.transfer <= d.serialization) {

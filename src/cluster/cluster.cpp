@@ -12,18 +12,6 @@ namespace soc::cluster {
 
 namespace {
 
-workloads::BuildContext build_context(const ClusterConfig& config,
-                                      const RunOptions& options) {
-  workloads::BuildContext ctx;
-  ctx.ranks = config.ranks;
-  ctx.nodes = config.nodes;
-  ctx.mem_model = options.mem_model;
-  ctx.gpu_work_fraction = options.gpu_work_fraction;
-  ctx.size_scale = options.size_scale;
-  ctx.overlap_halos = options.overlap_halos;
-  return ctx;
-}
-
 sim::EngineConfig engine_config(const ClusterConfig& config,
                                 const RunOptions& options) {
   sim::EngineConfig engine = options.engine;
@@ -49,6 +37,18 @@ RunResult meter(const sim::RunStats& stats, const ClusterConfig& config,
 }
 
 }  // namespace
+
+workloads::BuildContext build_context(const ClusterConfig& config,
+                                      const RunOptions& options) {
+  workloads::BuildContext ctx;
+  ctx.ranks = config.ranks;
+  ctx.nodes = config.nodes;
+  ctx.mem_model = options.mem_model;
+  ctx.gpu_work_fraction = options.gpu_work_fraction;
+  ctx.size_scale = options.size_scale;
+  ctx.overlap_halos = options.overlap_halos;
+  return ctx;
+}
 
 void validate(const ClusterConfig& config) {
   SOC_CHECK(config.nodes >= 1, "need at least one node");
@@ -76,21 +76,17 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
   std::unique_ptr<workloads::OpStream> stream = workloads::apply_scenarios(
       workload.stream(build_context(request.config, request.options)),
       request.scenario, request.config.nodes);
-  // The cluster model is memoizable (pure tables after construction), so
-  // repeated op shapes hit a cache instead of re-deriving durations.
-  // Subclasses that override costs rank-dependently opt out via
-  // memoizable() and are used directly.
+  // The cluster model is pure tables after construction, so repeated op
+  // shapes hit a cache instead of re-deriving durations.
   sim::EngineConfig engine_cfg =
       engine_config(request.config, request.options);
   if (request.engine_telemetry != nullptr) {
     engine_cfg.telemetry = request.engine_telemetry;
   }
   const sim::MemoCostModel memo(cost);
-  const sim::CostModel& effective =
-      cost.memoizable() ? static_cast<const sim::CostModel&>(memo) : cost;
   sim::Engine engine(
-      sim::Placement::block(request.config.ranks, request.config.nodes),
-      effective, engine_cfg);
+      sim::Placement::block(request.config.ranks, request.config.nodes), memo,
+      engine_cfg);
 
   // Per-run observability: the request's own metrics/profile sinks
   // compose with any caller-attached observer, so sweep runs never share
@@ -190,30 +186,6 @@ trace::ScenarioRuns replay_scenarios(const RunRequest& request) {
   const ClusterCostModel cost(request.config.node, request.config.nodes,
                               request.config.ranks, workload.cpu_profile());
   return replay_scenarios(request, workload, cost);
-}
-
-Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
-  validate(config_);
-}
-
-RunResult Cluster::run(const workloads::Workload& workload,
-                       const RunOptions& options) const {
-  RunRequest request;
-  request.workload = workload.name();
-  request.workload_ref = &workload;
-  request.config = config_;
-  request.options = options;
-  return cluster::run(request);
-}
-
-trace::ScenarioRuns Cluster::replay_scenarios(
-    const workloads::Workload& workload, const RunOptions& options) const {
-  RunRequest request;
-  request.workload = workload.name();
-  request.workload_ref = &workload;
-  request.config = config_;
-  request.options = options;
-  return cluster::replay_scenarios(request);
 }
 
 }  // namespace soc::cluster

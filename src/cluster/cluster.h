@@ -5,8 +5,9 @@
 // and the per-run options — so runs are first-class values that can be
 // enumerated into grids and sharded across host threads by the sweep
 // subsystem (src/sweep/).  cluster::run(request) is the single entry
-// point; the Cluster class survives as a thin convenience wrapper over
-// it, so existing examples and tests keep compiling:
+// point: every example, bench, test and socbench subcommand (a replayed
+// trace included, through workloads::TraceWorkload) lowers to it or to
+// cluster::replay_scenarios:
 //
 //   soc::cluster::RunRequest request;
 //   request.workload = "jacobi";
@@ -123,9 +124,14 @@ struct RunRequest {
   sim::EngineTelemetry* engine_telemetry = nullptr;
 };
 
-/// Validates a cluster shape; throws soc::Error on a bad one.  Shared by
-/// run() and the Cluster constructor.
+/// Validates a cluster shape; throws soc::Error on a bad one.  run() and
+/// replay_scenarios() call it before anything is built.
 void validate(const ClusterConfig& config);
+
+/// The generation parameters a run of `config` under `options` passes to
+/// its workload (also what `socbench trace` records with).
+workloads::BuildContext build_context(const ClusterConfig& config,
+                                      const RunOptions& options);
 
 /// Resolves a request's workload: `workload_ref` when set, otherwise a
 /// fresh instance of the named workload, parked in `owned`.
@@ -154,27 +160,5 @@ trace::ScenarioRuns replay_scenarios(const RunRequest& request);
 trace::ScenarioRuns replay_scenarios(const RunRequest& request,
                                      const workloads::Workload& workload,
                                      const ClusterCostModel& cost);
-
-/// Convenience wrapper retained for existing callers; new code should
-/// build RunRequests (the request form is what the sweep runner shards).
-/// Both methods are thin shims that lower onto cluster::run /
-/// cluster::replay_scenarios.
-class Cluster {
- public:
-  explicit Cluster(ClusterConfig config);
-
-  const ClusterConfig& config() const { return config_; }
-
-  /// Runs a workload to completion and meters it (wraps cluster::run).
-  RunResult run(const workloads::Workload& workload,
-                const RunOptions& options = {}) const;
-
-  /// Wraps cluster::replay_scenarios.
-  trace::ScenarioRuns replay_scenarios(const workloads::Workload& workload,
-                                       const RunOptions& options = {}) const;
-
- private:
-  ClusterConfig config_;
-};
 
 }  // namespace soc::cluster

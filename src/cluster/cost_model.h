@@ -12,7 +12,7 @@
 
 namespace soc::cluster {
 
-class ClusterCostModel : public sim::CostModel {
+class ClusterCostModel final : public sim::CostModel {
  public:
   /// `profile` is the workload's host-side code descriptor; `ranks` and
   /// `nodes` determine per-rank L2 pressure on shared-LLC machines.

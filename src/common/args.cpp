@@ -1,6 +1,8 @@
 #include "common/args.h"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 namespace soc {
 
@@ -153,6 +155,18 @@ std::vector<double> parse_double_list(const std::string& csv) {
   }
   if (out.empty()) throw UsageError("empty number list");
   return out;
+}
+
+unsigned parse_thread_count(const std::string& text,
+                            const std::string& source) {
+  unsigned threads = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), threads);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    throw UsageError(source + " must be a whole number >= 0 (0 = all "
+                     "cores), got '" + text + "'");
+  }
+  return threads;
 }
 
 }  // namespace soc

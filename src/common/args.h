@@ -71,6 +71,12 @@ std::vector<int> parse_int_list(const std::string& csv);
 /// entries.
 std::vector<double> parse_double_list(const std::string& csv);
 
+/// A host thread count ("0" = all cores) read from `source` (a flag or
+/// an environment variable): decimal digits only, so "-1", "abc" and ""
+/// throw UsageError instead of turning into some other count.
+unsigned parse_thread_count(const std::string& text,
+                            const std::string& source);
+
 /// Splits "hpl,jacobi" into strings; throws on empty entries.
 std::vector<std::string> parse_string_list(const std::string& csv);
 

@@ -40,8 +40,6 @@
 #define SOC_RELEASE(...) SOC_TS_ATTR(release_capability(__VA_ARGS__))
 /// Function that must NOT be called while holding the given capabilities.
 #define SOC_EXCLUDES(...) SOC_TS_ATTR(locks_excluded(__VA_ARGS__))
-/// Escape hatch: disables the analysis for one function body.
-#define SOC_NO_THREAD_SAFETY_ANALYSIS SOC_TS_ATTR(no_thread_safety_analysis)
 
 namespace soc {
 

@@ -191,12 +191,8 @@ RunStats Engine::run(OpSource& source) {
   port_free_.assign(nodes, 0);
   proto_seq_.assign(n, 0);
 
-  // Reservations only: committed events are identical for any hint value
-  // (determinism_test pins this with a checksum-equality case).
-  const std::size_t reserve =
-      config_.queue_reserve > 0
-          ? static_cast<std::size_t>(config_.queue_reserve)
-          : 2 * n + 16;
+  // Reservations only: the queue and tables grow on demand past them.
+  const std::size_t reserve = 2 * n + 16;
   queue_.clear();
   queue_.reserve(reserve);
   proto_pool_.clear();

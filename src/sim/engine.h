@@ -175,10 +175,6 @@ struct EngineConfig {
   double bisection_bandwidth = 0.0;
   /// Safety valve: abort if simulated time exceeds this many seconds.
   double max_sim_seconds = 3.0e6;
-  /// Allocation hint for the event queue and pending-message tables
-  /// (0 = derive from the rank count).  Purely a reservation: committed
-  /// events and all derived artifacts are identical for any value.
-  int queue_reserve = 0;
   /// Event-queue partitions for one run.  Always 1: the engine is serial,
   /// and the constructor refuses any other value rather than silently
   /// running serially.  Run independent configurations in parallel with

@@ -27,25 +27,6 @@ std::uint64_t hash_words(std::initializer_list<std::uint64_t> words) {
   return h;
 }
 
-// Scoped lock that engages only when the memo is shared between threads
-// (nullptr = single-thread mode, no locking).
-// Conditional acquisition is outside what the static analysis can model,
-// so both special members opt out of it.
-class OptionalLock {
- public:
-  explicit OptionalLock(Mutex* m) SOC_NO_THREAD_SAFETY_ANALYSIS : m_(m) {
-    if (m_ != nullptr) m_->lock();
-  }
-  ~OptionalLock() SOC_NO_THREAD_SAFETY_ANALYSIS {
-    if (m_ != nullptr) m_->unlock();
-  }
-  OptionalLock(const OptionalLock&) = delete;
-  OptionalLock& operator=(const OptionalLock&) = delete;
-
- private:
-  Mutex* m_;
-};
-
 }  // namespace
 
 std::uint64_t MemoCostModel::CpuKeyHash::operator()(const CpuKey& k) const {
@@ -72,10 +53,13 @@ std::uint64_t MemoCostModel::TransferKeyHash::operator()(
 }
 
 MemoCostModel::MemoCostModel(const CostModel& base, bool thread_safe)
-    : base_(base), thread_safe_(thread_safe) {}
+    : base_(base) {
+  SOC_CHECK(!thread_safe,
+            "MemoCostModel belongs to one thread: build one per run (a sweep "
+            "shares only the immutable base model)");
+}
 
 SimTime MemoCostModel::cpu_compute_time(int rank, const Op& op) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const CpuKey key{double_bits(op.instructions), double_bits(op.flops),
                    op.dram_bytes, op.profile};
   Slot& slot = cpu_[key];
@@ -90,7 +74,6 @@ SimTime MemoCostModel::cpu_compute_time(int rank, const Op& op) const {
 }
 
 SimTime MemoCostModel::gpu_kernel_time(int rank, const Op& op) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const GpuKey key{double_bits(op.flops), double_bits(op.parallelism),
                    op.dram_bytes, static_cast<std::uint8_t>(op.mem_model),
                    op.double_precision};
@@ -106,7 +89,6 @@ SimTime MemoCostModel::gpu_kernel_time(int rank, const Op& op) const {
 }
 
 SimTime MemoCostModel::copy_time(int rank, const Op& op) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const CopyKey key{op.bytes, static_cast<std::uint8_t>(op.kind),
                     static_cast<std::uint8_t>(op.mem_model)};
   Slot& slot = copy_[key];
@@ -131,7 +113,6 @@ void MemoCostModel::grow_latency(std::size_t dim) const {
 }
 
 SimTime MemoCostModel::message_latency(int src_node, int dst_node) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const std::size_t src = static_cast<std::size_t>(src_node);
   const std::size_t dst = static_cast<std::size_t>(dst_node);
   const std::size_t largest = std::max(src, dst);
@@ -154,7 +135,6 @@ SimTime MemoCostModel::message_latency(int src_node, int dst_node) const {
 
 SimTime MemoCostModel::message_transfer_time(int src_node, int dst_node,
                                              Bytes bytes) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const TransferKey key{pack_path(src_node, dst_node), bytes};
   Slot& slot = transfer_[key];
   if (!slot.known) {
@@ -184,12 +164,10 @@ SimTime MemoCostModel::overhead_for(
 }
 
 SimTime MemoCostModel::send_overhead(int rank) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   return overhead_for(rank, send_overhead_, &CostModel::send_overhead);
 }
 
 SimTime MemoCostModel::recv_overhead(int rank) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   return overhead_for(rank, recv_overhead_, &CostModel::recv_overhead);
 }
 

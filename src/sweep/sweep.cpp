@@ -64,9 +64,9 @@ const cluster::ClusterCostModel& SweepRunner::cost_for(
   return *entry->model;
 }
 
-std::vector<cluster::RunResult> SweepRunner::run(
-    const std::vector<cluster::RunRequest>& requests) {
-  std::vector<cluster::RunResult> results(requests.size());
+void SweepRunner::each(const std::vector<cluster::RunRequest>& requests,
+                       std::size_t SweepSummary::*count, const Job& job) {
+  std::vector<double> seconds(requests.size(), 0.0);
   ProgressMeter progress(options_.label, requests.size(), options_.progress);
   parallel_for(
       requests.size(),
@@ -78,11 +78,11 @@ std::vector<cluster::RunResult> SweepRunner::run(
             cluster::resolve_workload(request, owned);
         // Two cache layers stack here: cost_for() shares one immutable
         // ClusterCostModel across requests (mutex-guarded construction),
-        // and cluster::run wraps it in a per-run sim::MemoCostModel whose
+        // and each run wraps it in a per-run sim::MemoCostModel whose
         // mutable evaluation cache is local to this thread's run — the
         // shared model is only ever read through const calls.
-        results[i] = cluster::run(request, workload, cost_for(request, workload));
-        progress.tick(results[i].seconds);
+        seconds[i] = job(i, request, workload, cost_for(request, workload));
+        progress.tick(seconds[i]);
       },
       options_.threads);
   progress.done();
@@ -92,41 +92,35 @@ std::vector<cluster::RunResult> SweepRunner::run(
   // uncontended here but keeps the analysis honest: summary_ is the same
   // member the workers' cache hits incremented moments ago.
   const MutexLock lock(mutex_);
-  summary_.runs += requests.size();
+  summary_.*count += requests.size();
   summary_.threads = std::max(
       summary_.threads, effective_threads(options_.threads, requests.size()));
-  for (const cluster::RunResult& r : results) {
-    summary_.simulated_seconds += r.seconds;
-  }
+  for (const double s : seconds) summary_.simulated_seconds += s;
+}
+
+std::vector<cluster::RunResult> SweepRunner::run(
+    const std::vector<cluster::RunRequest>& requests) {
+  std::vector<cluster::RunResult> results(requests.size());
+  each(requests, &SweepSummary::runs,
+       [&](std::size_t i, const cluster::RunRequest& request,
+           const workloads::Workload& workload,
+           const cluster::ClusterCostModel& cost) {
+         results[i] = cluster::run(request, workload, cost);
+         return results[i].seconds;
+       });
   return results;
 }
 
 std::vector<trace::ScenarioRuns> SweepRunner::replay_scenarios(
     const std::vector<cluster::RunRequest>& requests) {
   std::vector<trace::ScenarioRuns> results(requests.size());
-  ProgressMeter progress(options_.label, requests.size(), options_.progress);
-  parallel_for(
-      requests.size(),
-      [&](std::size_t i) {
-        const cluster::RunRequest& request = requests[i];
-        cluster::validate(request.config);
-        std::unique_ptr<workloads::Workload> owned;
-        const workloads::Workload& workload =
-            cluster::resolve_workload(request, owned);
-        results[i] = cluster::replay_scenarios(request, workload,
-                                               cost_for(request, workload));
-        progress.tick(results[i].measured.seconds());
-      },
-      options_.threads);
-  progress.done();
-
-  const MutexLock lock(mutex_);
-  summary_.replays += requests.size();
-  summary_.threads = std::max(
-      summary_.threads, effective_threads(options_.threads, requests.size()));
-  for (const trace::ScenarioRuns& r : results) {
-    summary_.simulated_seconds += r.measured.seconds();
-  }
+  each(requests, &SweepSummary::replays,
+       [&](std::size_t i, const cluster::RunRequest& request,
+           const workloads::Workload& workload,
+           const cluster::ClusterCostModel& cost) {
+         results[i] = cluster::replay_scenarios(request, workload, cost);
+         return results[i].measured.seconds();
+       });
   return results;
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <list>
 #include <optional>
 #include <string>
@@ -75,6 +76,20 @@ class SweepRunner {
 
  private:
   struct CacheEntry;
+
+  /// One simulation of request `i` against its resolved workload and the
+  /// shared cost model; returns the simulated seconds it reports.
+  using Job = std::function<double(std::size_t i,
+                                   const cluster::RunRequest& request,
+                                   const workloads::Workload& workload,
+                                   const cluster::ClusterCostModel& cost)>;
+
+  /// The loop behind run() and replay_scenarios(): shards `job` over the
+  /// requests, then adds the batch to the summary (`count` is the field
+  /// its size adds to).
+  void each(const std::vector<cluster::RunRequest>& requests,
+            std::size_t SweepSummary::*count, const Job& job)
+      SOC_EXCLUDES(mutex_);
 
   /// Returns the memoized cost model for the request's (node, shape,
   /// profile) key, building it outside the cache lock on first use.

@@ -1,7 +1,9 @@
 #include "trace/export.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "common/error.h"
 
@@ -26,16 +28,22 @@ sim::MemModel parse_mem_model(const std::string& token, int line) {
               ": unknown memory model '" + token + "'");
 }
 
+/// The engine's rank limit (message keys hold rank ids in 16 bits).
+constexpr std::size_t kMaxRanks = std::size_t{1} << 16;
+
 [[noreturn]] void fail(int line, const std::string& what) {
   throw Error("soctrace line " + std::to_string(line) + ": " + what);
 }
 
 }  // namespace
 
-std::string export_programs(const std::vector<sim::Program>& programs) {
+std::string export_programs(const std::vector<sim::Program>& programs,
+                            const std::string& workload) {
   std::ostringstream os;
   os.precision(17);  // doubles must survive the round trip exactly
-  os << "soctrace v1 ranks=" << programs.size() << "\n";
+  os << "soctrace v1 ranks=" << programs.size();
+  if (!workload.empty()) os << " workload=" << workload;
+  os << "\n";
   for (std::size_t r = 0; r < programs.size(); ++r) {
     os << "rank " << r << "\n";
     for (const sim::Op& op : programs[r]) {
@@ -93,7 +101,8 @@ std::string export_programs(const std::vector<sim::Program>& programs) {
   return os.str();
 }
 
-std::vector<sim::Program> import_programs(const std::string& text) {
+std::vector<sim::Program> import_programs(const std::string& text,
+                                          std::string* workload) {
   std::istringstream is(text);
   std::string line;
   int line_no = 0;
@@ -107,12 +116,29 @@ std::vector<sim::Program> import_programs(const std::string& text) {
     std::string magic;
     std::string version;
     std::string ranks_field;
-    hs >> magic >> version >> ranks_field;
+    std::string workload_field;
+    std::string extra;
+    hs >> magic >> version >> ranks_field >> workload_field >> extra;
     if (magic != "soctrace" || version != "v1" ||
-        ranks_field.rfind("ranks=", 0) != 0) {
-      fail(line_no, "bad header (expected 'soctrace v1 ranks=N')");
+        ranks_field.rfind("ranks=", 0) != 0 || !extra.empty() ||
+        (!workload_field.empty() &&
+         workload_field.rfind("workload=", 0) != 0)) {
+      fail(line_no,
+           "bad header (expected 'soctrace v1 ranks=N [workload=TAG]')");
     }
-    ranks = static_cast<std::size_t>(std::stoull(ranks_field.substr(6)));
+    // Digits only, and no more ranks than the engine can run, so a
+    // corrupt count is refused here rather than allocated.
+    const std::string count = ranks_field.substr(6);
+    const auto [end, ec] =
+        std::from_chars(count.data(), count.data() + count.size(), ranks);
+    if (ec != std::errc{} || end != count.data() + count.size() ||
+        ranks < 1 || ranks > kMaxRanks) {
+      fail(line_no, "rank count '" + count + "' is not within [1, " +
+                        std::to_string(kMaxRanks) + "]");
+    }
+    if (workload != nullptr) {
+      *workload = workload_field.empty() ? "" : workload_field.substr(9);
+    }
     break;
   }
   SOC_CHECK(ranks > 0, "soctrace: missing or empty header");
@@ -181,19 +207,21 @@ std::vector<sim::Program> import_programs(const std::string& text) {
 }
 
 void save_trace(const std::string& path,
-                const std::vector<sim::Program>& programs) {
+                const std::vector<sim::Program>& programs,
+                const std::string& workload) {
   std::ofstream out(path);
   SOC_CHECK(out.good(), "cannot open trace file for writing: " + path);
-  out << export_programs(programs);
+  out << export_programs(programs, workload);
   SOC_CHECK(out.good(), "error writing trace file: " + path);
 }
 
-std::vector<sim::Program> load_trace(const std::string& path) {
+std::vector<sim::Program> load_trace(const std::string& path,
+                                     std::string* workload) {
   std::ifstream in(path);
   SOC_CHECK(in.good(), "cannot open trace file: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return import_programs(buffer.str());
+  return import_programs(buffer.str(), workload);
 }
 
 }  // namespace soc::trace

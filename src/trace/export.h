@@ -7,7 +7,7 @@
 // another machine, or a later session.
 //
 // Format (line-oriented, '#' comments allowed):
-//   soctrace v1 ranks=<N>
+//   soctrace v1 ranks=<N> [workload=<tag>]
 //   rank <r>
 //   cpu <instructions> <flops> <dram_bytes> <profile> <phase>
 //   gpu <flops> <dram_bytes> <mem_model> <parallelism> <dp> <phase>
@@ -25,16 +25,25 @@
 
 namespace soc::trace {
 
-/// Serializes per-rank programs to the soctrace text format.
-std::string export_programs(const std::vector<sim::Program>& programs);
+/// Serializes per-rank programs to the soctrace text format.  A non-empty
+/// `workload` (the registry tag the programs came from) is recorded in
+/// the header, so a replay can price the CPU code with that workload's
+/// profile.
+std::string export_programs(const std::vector<sim::Program>& programs,
+                            const std::string& workload = "");
 
 /// Parses a soctrace document; throws soc::Error with a line number on
-/// malformed input.
-std::vector<sim::Program> import_programs(const std::string& text);
+/// malformed input (a rank count outside [1, 65536], the engine's limit,
+/// included).  The header's workload tag, or "" when it names none, is
+/// stored in `*workload` when that is given.
+std::vector<sim::Program> import_programs(const std::string& text,
+                                          std::string* workload = nullptr);
 
 /// Convenience file wrappers.
 void save_trace(const std::string& path,
-                const std::vector<sim::Program>& programs);
-std::vector<sim::Program> load_trace(const std::string& path);
+                const std::vector<sim::Program>& programs,
+                const std::string& workload = "");
+std::vector<sim::Program> load_trace(const std::string& path,
+                                     std::string* workload = nullptr);
 
 }  // namespace soc::trace

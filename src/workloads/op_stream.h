@@ -7,6 +7,9 @@
 // engine's bool protocol, which guarantees kEnd itself never reaches the
 // dispatch loop (the engine SOC_CHECKs on it).
 //
+// ProgramStream walks materialized programs: a loaded trace replays
+// through it (workloads::TraceWorkload).
+//
 // StepStream is the one generator-backed stream.  A workload computes its
 // constants once and hands over a step function that appends step k (one
 // outer iteration, or one DNN batch) for every rank to a shared
@@ -38,6 +41,24 @@ class OpStream : public sim::OpSource {
 
   /// Bridges the kEnd sentinel to the engine's end-of-stream protocol.
   bool next(int rank, SimTime now, sim::Op* op) final;
+};
+
+/// Walks pre-built per-rank programs (a loaded trace) as an OpStream.
+/// Non-owning: the programs must outlive the stream.
+class ProgramStream final : public OpStream {
+ public:
+  explicit ProgramStream(const std::vector<sim::Program>& programs)
+      : source_(programs) {}
+
+  int ranks() const override { return source_.ranks(); }
+  sim::Op get_next(int rank, SimTime now) override {
+    sim::Op op;
+    return source_.next(rank, now, &op) ? op : sim::end_op();
+  }
+  bool schedule_independent() const override { return true; }
+
+ private:
+  sim::ProgramSource source_;
 };
 
 /// Generates a workload one step at a time, on demand.

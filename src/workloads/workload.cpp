@@ -1,5 +1,7 @@
 #include "workloads/workload.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "workloads/op_stream.h"
 
@@ -26,6 +28,18 @@ std::vector<sim::Program> Workload::build(const BuildContext& ctx) const {
     }
   }
   return programs;
+}
+
+TraceWorkload::TraceWorkload(const std::string& tag,
+                             std::vector<sim::Program> programs)
+    : recorded_(make_workload(tag)), programs_(std::move(programs)) {}
+
+std::unique_ptr<OpStream> TraceWorkload::stream(const BuildContext& ctx) const {
+  validate(ctx);
+  SOC_CHECK(ctx.ranks == ranks(),
+            "the trace was recorded with " + std::to_string(ranks()) +
+                " ranks, not " + std::to_string(ctx.ranks));
+  return std::make_unique<ProgramStream>(programs_);
 }
 
 }  // namespace soc::workloads

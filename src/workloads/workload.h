@@ -68,6 +68,35 @@ class Workload {
   virtual std::vector<sim::Program> build(const BuildContext& ctx) const;
 };
 
+/// A recorded trace as one more workload (codes-workload's pattern: a
+/// loaded trace sits behind the same pull API as a generator).  Its
+/// stream walks the trace's programs, and its name, GPU flag and CPU
+/// profile are those of the registry workload `tag` it was recorded from,
+/// so cluster::run prices a replay exactly as it priced the recording.
+class TraceWorkload final : public Workload {
+ public:
+  /// Throws soc::Error for a tag the registry does not know.
+  TraceWorkload(const std::string& tag, std::vector<sim::Program> programs);
+
+  std::string name() const override { return recorded_->name(); }
+  bool gpu_accelerated() const override {
+    return recorded_->gpu_accelerated();
+  }
+  arch::WorkloadProfile cpu_profile() const override {
+    return recorded_->cpu_profile();
+  }
+  /// The rank count the trace was recorded at.
+  int ranks() const { return static_cast<int>(programs_.size()); }
+  /// Walks the programs; `ctx.ranks` must equal ranks().  The trace
+  /// already carries the size, memory model and GPU share it was recorded
+  /// with, so the other build parameters are not read.
+  std::unique_ptr<OpStream> stream(const BuildContext& ctx) const override;
+
+ private:
+  std::unique_ptr<Workload> recorded_;
+  std::vector<sim::Program> programs_;
+};
+
 /// All GPGPU-accelerated workloads of Table I, in paper order:
 /// hpl, jacobi, cloverleaf, tealeaf2d, tealeaf3d, alexnet, googlenet.
 std::vector<std::unique_ptr<Workload>> cluster_soc_bench();

@@ -36,21 +36,27 @@ namespace {
 // sparse CG).
 const char* const kAuditWorkloads[] = {"jacobi", "hpl", "alexnet", "ft", "cg"};
 
-cluster::Cluster make_cluster(const workloads::Workload& w, int nodes) {
-  const auto node = systems::jetson_tx1(net::NicKind::kTenGigabit);
-  const int ranks = w.gpu_accelerated() ? nodes : 2 * nodes;
-  return cluster::Cluster(cluster::ClusterConfig{node, nodes, ranks});
-}
-
 cluster::RunOptions quick() {
   cluster::RunOptions options;
   options.size_scale = 0.05;
   return options;
 }
 
+/// One run of `w` on `nodes` TX1 nodes (one rank per node for GPU codes,
+/// two for NPB).
+cluster::RunResult run_on(const workloads::Workload& w, int nodes,
+                          const cluster::RunOptions& options = quick()) {
+  cluster::RunRequest request;
+  request.workload_ref = &w;
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                    w.gpu_accelerated() ? nodes : 2 * nodes};
+  request.options = options;
+  return cluster::run(request);
+}
+
 TEST(Determinism, ChecksumIsPopulated) {
   const auto w = workloads::make_workload("jacobi");
-  const auto r = make_cluster(*w, 4).run(*w, quick());
+  const auto r = run_on(*w, 4);
   EXPECT_NE(r.stats.event_checksum, 0u);
   EXPECT_NE(r.stats.event_checksum, Fnv1a::kOffsetBasis);
   EXPECT_GT(r.stats.events_committed, 0u);
@@ -59,9 +65,8 @@ TEST(Determinism, ChecksumIsPopulated) {
 TEST(Determinism, SerialReplaysAreBitIdentical) {
   for (const char* name : kAuditWorkloads) {
     const auto w = workloads::make_workload(name);
-    const auto cl = make_cluster(*w, 4);
-    const auto a = cl.run(*w, quick());
-    const auto b = cl.run(*w, quick());
+    const auto a = run_on(*w, 4);
+    const auto b = run_on(*w, 4);
     EXPECT_EQ(a.stats.event_checksum, b.stats.event_checksum) << name;
     EXPECT_EQ(a.stats.events_committed, b.stats.events_committed) << name;
     EXPECT_EQ(a.stats.makespan, b.stats.makespan) << name;
@@ -72,15 +77,14 @@ TEST(Determinism, SerialReplaysAreBitIdentical) {
 TEST(Determinism, ParallelForReplaysMatchSerial) {
   for (const char* name : kAuditWorkloads) {
     const auto w = workloads::make_workload(name);
-    const auto cl = make_cluster(*w, 4);
-    const auto serial = cl.run(*w, quick());
+    const auto serial = run_on(*w, 4);
 
     constexpr std::size_t kReplicas = 8;
     std::vector<std::uint64_t> checksums(kReplicas, 0);
     std::vector<SimTime> makespans(kReplicas, 0);
     parallel_for(kReplicas, [&](std::size_t i) {
       const auto w2 = workloads::make_workload(name);
-      const auto r = make_cluster(*w2, 4).run(*w2, quick());
+      const auto r = run_on(*w2, 4);
       checksums[i] = r.stats.event_checksum;
       makespans[i] = r.stats.makespan;
     });
@@ -89,28 +93,6 @@ TEST(Determinism, ParallelForReplaysMatchSerial) {
           << name << " replica " << i;
       EXPECT_EQ(makespans[i], serial.stats.makespan)
           << name << " replica " << i;
-    }
-  }
-}
-
-// queue_reserve is a pure capacity hint: whatever the starting geometry
-// of the event queue and pending tables (tiny → repeated growth, huge →
-// never grows), the committed event stream must be bit-identical.
-TEST(Determinism, QueueReserveDoesNotAffectChecksum) {
-  for (const char* name : kAuditWorkloads) {
-    const auto w = workloads::make_workload(name);
-    const auto cl = make_cluster(*w, 4);
-    const auto baseline = cl.run(*w, quick());
-    for (const int reserve : {1, 4096}) {
-      auto options = quick();
-      options.engine.queue_reserve = reserve;
-      const auto r = cl.run(*w, options);
-      EXPECT_EQ(r.stats.event_checksum, baseline.stats.event_checksum)
-          << name << " reserve=" << reserve;
-      EXPECT_EQ(r.stats.events_committed, baseline.stats.events_committed)
-          << name << " reserve=" << reserve;
-      EXPECT_EQ(r.stats.makespan, baseline.stats.makespan)
-          << name << " reserve=" << reserve;
     }
   }
 }
@@ -124,7 +106,7 @@ TEST(Determinism, MetricsRegistryIdenticalAcrossReplays) {
     obs::MetricsObserver observer;
     auto options = quick();
     options.observer = &observer;
-    make_cluster(w, 4).run(w, options);
+    run_on(w, 4, options);
     return observer.registry();
   };
 
@@ -155,29 +137,28 @@ TEST(Determinism, ChecksumDistinguishesWorkloadsAndScenarios) {
   std::set<std::uint64_t> seen;
   for (const char* name : kAuditWorkloads) {
     const auto w = workloads::make_workload(name);
-    seen.insert(make_cluster(*w, 4).run(*w, quick()).stats.event_checksum);
+    seen.insert(run_on(*w, 4).stats.event_checksum);
   }
   EXPECT_EQ(seen.size(), std::size(kAuditWorkloads));
 
   const auto w = workloads::make_workload("jacobi");
   auto scaled = quick();
   scaled.size_scale = 0.1;
-  EXPECT_NE(make_cluster(*w, 4).run(*w, quick()).stats.event_checksum,
-            make_cluster(*w, 4).run(*w, scaled).stats.event_checksum);
+  EXPECT_NE(run_on(*w, 4).stats.event_checksum,
+            run_on(*w, 4, scaled).stats.event_checksum);
 }
 
 TEST(Determinism, ChecksumStableAcrossThreadCounts) {
   // The digest must not depend on how the host fans replicas out.
   const auto w = workloads::make_workload("ft");
-  const auto serial = make_cluster(*w, 2).run(*w, quick());
+  const auto serial = run_on(*w, 2);
   for (unsigned threads : {1u, 2u, 5u}) {
     std::vector<std::uint64_t> checksums(4, 0);
     parallel_for(
         checksums.size(),
         [&](std::size_t i) {
           const auto w2 = workloads::make_workload("ft");
-          checksums[i] =
-              make_cluster(*w2, 2).run(*w2, quick()).stats.event_checksum;
+          checksums[i] = run_on(*w2, 2).stats.event_checksum;
         },
         threads);
     for (std::uint64_t c : checksums) {

@@ -37,6 +37,17 @@ class FlatCost : public sim::CostModel {
   SimTime recv_overhead(int) const override { return 0; }
 };
 
+/// One run of registry workload `name` on a 10GbE TX1 cluster.
+cluster::RunResult tx1_run(const char* name, int nodes, int ranks,
+                           double size_scale) {
+  cluster::RunRequest request;
+  request.workload = name;
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                    ranks};
+  request.options.size_scale = size_scale;
+  return cluster::run(request);
+}
+
 TEST(Prefetcher, NextLinePrefetchHelpsSequentialStream) {
   arch::CacheConfig base{32 * kKiB, 4, 64};
   arch::CacheConfig prefetching = base;
@@ -276,11 +287,7 @@ TEST(Topology, SingleSwitchIsUniform) {
 }
 
 TEST(PowerBreakdown, ComponentsSumToTotal) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2});
-  cluster::RunOptions options;
-  options.size_scale = 0.05;
-  const auto r = tx.run(*workloads::make_workload("jacobi"), options);
+  const auto r = tx1_run("jacobi", 2, 2, 0.05);
   const power::EnergyBreakdown& e = r.energy.breakdown;
   EXPECT_NEAR(e.idle + e.cpu + e.gpu + e.nic + e.dram, r.joules,
               r.joules * 1e-6);
@@ -290,11 +297,7 @@ TEST(PowerBreakdown, ComponentsSumToTotal) {
 
 
 TEST(Timeline, RendersStripsForEveryComponent) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2});
-  cluster::RunOptions options;
-  options.size_scale = 0.05;
-  const auto r = tx.run(*workloads::make_workload("tealeaf3d"), options);
+  const auto r = tx1_run("tealeaf3d", 2, 2, 0.05);
   const std::string t = trace::render_timeline(r.stats);
   EXPECT_NE(t.find("node0 cpu"), std::string::npos);
   EXPECT_NE(t.find("node0 gpu"), std::string::npos);
@@ -307,11 +310,7 @@ TEST(Timeline, RendersStripsForEveryComponent) {
 }
 
 TEST(Timeline, SummarizesExtraNodes) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 16, 16});
-  cluster::RunOptions options;
-  options.size_scale = 0.02;
-  const auto r = tx.run(*workloads::make_workload("jacobi"), options);
+  const auto r = tx1_run("jacobi", 16, 16, 0.02);
   trace::TimelineOptions t;
   t.max_nodes = 4;
   const std::string s = trace::render_timeline(r.stats, t);

@@ -149,17 +149,23 @@ cluster::RunOptions quick_options() {
   return options;
 }
 
-cluster::Cluster small_cluster(int nodes) {
-  return cluster::Cluster(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), nodes, nodes});
+/// A quick run of `w` on `nodes` TX1 nodes, one rank each, with
+/// `observer` attached.
+cluster::RunRequest small_request(const workloads::Workload& w, int nodes,
+                                  sim::EngineObserver* observer) {
+  cluster::RunRequest request;
+  request.workload_ref = &w;
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                    nodes};
+  request.options = quick_options();
+  request.options.observer = observer;
+  return request;
 }
 
 TEST(MetricsObserver, AccountsForEveryCommittedEvent) {
   const auto w = workloads::make_workload("jacobi");
   obs::MetricsObserver observer;
-  auto options = quick_options();
-  options.observer = &observer;
-  const auto result = small_cluster(2).run(*w, options);
+  const auto result = cluster::run(small_request(*w, 2, &observer));
 
   const obs::MetricsRegistry& r = observer.registry();
   // Every committed dispatch lands in exactly one ops.* counter, so the
@@ -197,9 +203,7 @@ TEST(ObserverList, FansOutToAllRegistered) {
   list.add(nullptr);  // ignored
   EXPECT_FALSE(list.empty());
 
-  auto options = quick_options();
-  options.observer = &list;
-  small_cluster(2).run(*w, options);
+  cluster::run(small_request(*w, 2, &list));
   EXPECT_FALSE(metrics.registry().empty());
   EXPECT_GT(chrome.span_count(), 0u);
 }
@@ -208,9 +212,7 @@ TEST(ChromeTrace, ByteIdenticalAcrossReplays) {
   const auto w = workloads::make_workload("jacobi");
   auto record = [&]() {
     obs::ChromeTraceRecorder chrome;
-    auto options = quick_options();
-    options.observer = &chrome;
-    small_cluster(2).run(*w, options);
+    cluster::run(small_request(*w, 2, &chrome));
     return chrome.json();
   };
   const std::string a = record();
@@ -229,9 +231,7 @@ TEST(ChromeTrace, FlowEventsPairMatchedInterNodeMessages) {
   // receiver row, binding point "e"), in equal numbers.
   const auto w = workloads::make_workload("jacobi");
   obs::ChromeTraceRecorder chrome;
-  auto options = quick_options();
-  options.observer = &chrome;
-  small_cluster(2).run(*w, options);
+  cluster::run(small_request(*w, 2, &chrome));
   EXPECT_GT(chrome.message_count(), 0u);
 
   const std::string doc = chrome.json();
@@ -251,14 +251,12 @@ TEST(ChromeTrace, FlowEventsPairMatchedInterNodeMessages) {
 
 TEST(RunReport, ByteIdenticalAndCarriesChecksum) {
   const auto w = workloads::make_workload("jacobi");
-  const auto cl = small_cluster(2);
   auto report = [&]() {
     obs::MetricsObserver observer;
-    auto options = quick_options();
-    options.observer = &observer;
-    const auto result = cl.run(*w, options);
-    return cluster::report_json(cl.config(), options, w->name(), result,
-                                &observer.registry());
+    const cluster::RunRequest request = small_request(*w, 2, &observer);
+    const auto result = cluster::run(request);
+    return cluster::report_json(request.config, request.options, w->name(),
+                                result, &observer.registry());
   };
   const std::string a = report();
   const std::string b = report();
@@ -270,11 +268,10 @@ TEST(RunReport, ByteIdenticalAndCarriesChecksum) {
   EXPECT_NE(a.find("\"metrics\""), std::string::npos);
 
   // Without a registry the metrics section is omitted entirely.
-  obs::MetricsObserver observer;
-  auto options = quick_options();
-  const auto result = cl.run(*w, options);
-  const std::string bare =
-      cluster::report_json(cl.config(), options, w->name(), result, nullptr);
+  const cluster::RunRequest request = small_request(*w, 2, nullptr);
+  const auto result = cluster::run(request);
+  const std::string bare = cluster::report_json(
+      request.config, request.options, w->name(), result, nullptr);
   EXPECT_EQ(bare.find("\"metrics\""), std::string::npos);
 }
 
@@ -282,11 +279,9 @@ TEST(Engine, ObserverDoesNotChangeTheRun) {
   // The observer is read-only instrumentation: attaching one must not
   // perturb the schedule or the digest.
   const auto w = workloads::make_workload("cg");
-  const auto plain = small_cluster(2).run(*w, quick_options());
+  const auto plain = cluster::run(small_request(*w, 2, nullptr));
   obs::MetricsObserver observer;
-  auto options = quick_options();
-  options.observer = &observer;
-  const auto observed = small_cluster(2).run(*w, options);
+  const auto observed = cluster::run(small_request(*w, 2, &observer));
   EXPECT_EQ(plain.stats.event_checksum, observed.stats.event_checksum);
   EXPECT_EQ(plain.stats.makespan, observed.stats.makespan);
 }

@@ -697,5 +697,13 @@ TEST(MemoCostModel, DenseTablesMatchBaseAndCountHitsAndMisses) {
   EXPECT_EQ(static_cast<std::uint64_t>(base.calls), misses);
 }
 
+// A memo belongs to one thread; asking for a shared one is refused, the
+// way EngineConfig::shards refuses anything but 1.
+TEST(MemoCostModel, RefusesThreadSafeMode) {
+  const CountingCostModel base;
+  EXPECT_THROW(MemoCostModel(base, /*thread_safe=*/true), Error);
+  EXPECT_NO_THROW(MemoCostModel(base, /*thread_safe=*/false));
+}
+
 }  // namespace
 }  // namespace soc::sim

@@ -480,6 +480,40 @@ TEST(Scenario, ReplayMeasuredMatchesTheMeteredRun) {
   EXPECT_LT(runs.ideal_balance.makespan, runs.measured.makespan);
 }
 
+// --- a loaded trace is one more workload ---------------------------------
+
+// A trace recorded from a run replays through cluster::run as that run:
+// TraceWorkload prices it with the recorded workload's CPU profile, so
+// the committed stream and the metered result are the run's.
+TEST(TraceWorkload, ReplayReproducesTheRecordedRun) {
+  for (const char* tag : {"cg", "jacobi"}) {
+    cluster::RunRequest request = quick_request(tag, 4, tag[0] == 'c' ? 8 : 4);
+    const auto run = cluster::run(request);
+    const workloads::TraceWorkload trace(
+        tag, trace::import_programs(trace::export_programs(
+                 workloads::make_workload(tag)->build(cluster::build_context(
+                     request.config, request.options)))));
+    EXPECT_EQ(trace.name(), tag);
+    EXPECT_EQ(trace.ranks(), request.config.ranks);
+    request.workload.clear();
+    request.workload_ref = &trace;
+    const auto replay = cluster::run(request);
+    EXPECT_EQ(replay.stats.event_checksum, run.stats.event_checksum) << tag;
+    EXPECT_EQ(replay.stats.makespan, run.stats.makespan) << tag;
+    EXPECT_DOUBLE_EQ(replay.joules, run.joules) << tag;
+    EXPECT_EQ(replay.stats.total_net_bytes, run.stats.total_net_bytes) << tag;
+  }
+}
+
+// The trace fixes its rank count; a run at another count is refused, and
+// so is a tag the registry does not know.
+TEST(TraceWorkload, RefusesAnotherRankCountAndUnknownTags) {
+  const workloads::TraceWorkload trace("jacobi", std::vector<sim::Program>(4));
+  EXPECT_THROW((void)trace.stream(quick_context(2, 2)), Error);
+  EXPECT_NO_THROW((void)trace.stream(quick_context(2, 4)));
+  EXPECT_THROW(workloads::TraceWorkload("nope", {}), Error);
+}
+
 // --- trace round-trip for the new delay verb -----------------------------
 
 TEST(TraceV1, DelayOpsRoundTrip) {

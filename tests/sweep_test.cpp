@@ -359,16 +359,17 @@ TEST(Frontier, ParetoMarkingIsPerWorkloadAndConsistent) {
 
 // --- RunRequest API ------------------------------------------------------
 
-TEST(RunRequest, ClusterWrapperMatchesRunRequest) {
-  const auto request = quick_request("jacobi", 2, 2);
-  const auto direct = cluster::run(request);
+TEST(RunRequest, TagAndWorkloadRefRunsMatch) {
+  auto request = quick_request("jacobi", 2, 2);
+  const auto by_tag = cluster::run(request);
 
-  cluster::Cluster wrapper(request.config);
   const auto owned = workloads::make_workload("jacobi");
-  const auto via_wrapper = wrapper.run(*owned, request.options);
-  EXPECT_EQ(direct.stats.event_checksum, via_wrapper.stats.event_checksum);
-  EXPECT_DOUBLE_EQ(direct.seconds, via_wrapper.seconds);
-  EXPECT_DOUBLE_EQ(direct.joules, via_wrapper.joules);
+  request.workload.clear();
+  request.workload_ref = owned.get();
+  const auto by_ref = cluster::run(request);
+  EXPECT_EQ(by_tag.stats.event_checksum, by_ref.stats.event_checksum);
+  EXPECT_DOUBLE_EQ(by_tag.seconds, by_ref.seconds);
+  EXPECT_DOUBLE_EQ(by_tag.joules, by_ref.joules);
 }
 
 TEST(RunRequest, WorkloadRefWinsOverTag) {

@@ -3,8 +3,8 @@
 //
 // Two contracts under test:
 //
-//  1. The counter document (obs::engine_counters_json) is fixed by the
-//     simulation's control flow: repeated runs render byte-identical
+//  1. The telemetry document (obs::engine_telemetry_json) is fixed by
+//     the simulation's control flow: repeated runs render byte-identical
 //     documents for every registered workload and every scenario
 //     decorator family, and the counters agree with the run's stats.
 //
@@ -82,7 +82,7 @@ std::vector<NamedScenario> scenario_axis() {
   return axis;
 }
 
-// Contract 1: the counter document is fixed by the simulation's control
+// Contract 1: the telemetry document is fixed by the simulation's control
 // flow alone: two runs of every workload x scenario family render the
 // identical bytes.
 TEST(Telemetry, CounterDocByteIdenticalAcrossRuns) {
@@ -96,8 +96,8 @@ TEST(Telemetry, CounterDocByteIdenticalAcrossRuns) {
       const auto b = run_with_telemetry(name, s.config, &second);
       EXPECT_EQ(b.stats.event_checksum, a.stats.event_checksum)
           << name << " scenario=" << s.name;
-      EXPECT_EQ(obs::engine_counters_json(second),
-                obs::engine_counters_json(first))
+      EXPECT_EQ(obs::engine_telemetry_json(second),
+                obs::engine_telemetry_json(first))
           << name << " scenario=" << s.name;
     }
   }
@@ -105,7 +105,7 @@ TEST(Telemetry, CounterDocByteIdenticalAcrossRuns) {
 
 // The telemetry struct itself must be coherent: totals match RunStats,
 // every queued event (a wake or a protocol message) is processed exactly
-// once, and both artifacts render.
+// once, and the artifact renders.
 TEST(Telemetry, StructureMatchesRunAndArtifactsRender) {
   sim::EngineTelemetry tel;
   const auto result = run_with_telemetry("jacobi", {}, &tel);
@@ -119,11 +119,6 @@ TEST(Telemetry, StructureMatchesRunAndArtifactsRender) {
   EXPECT_EQ(c.events_processed,
             c.wakes + c.protos_arrival + c.protos_rts + c.protos_cts);
   EXPECT_GT(c.queue_high_water, 0u);
-
-  const std::string counters = obs::engine_counters_json(tel);
-  EXPECT_NE(counters.find("soccluster-engine-telemetry-counters/v1"),
-            std::string::npos);
-  EXPECT_EQ(counters.back(), '\n');
 
   const std::string full = obs::engine_telemetry_json(tel);
   EXPECT_NE(full.find("soccluster-engine-telemetry/v1"), std::string::npos);

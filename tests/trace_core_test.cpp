@@ -570,5 +570,45 @@ TEST(Export, RoundTripIsByteStable) {
   EXPECT_EQ(twice, trace::export_programs(trace::import_programs(twice)));
 }
 
+// The header records the workload a trace was generated from; a header
+// without one still parses, and reports the empty tag.
+TEST(Export, HeaderCarriesTheWorkloadTag) {
+  const std::vector<sim::Program> programs = {{sim::phase_op(0)}};
+  const std::string text = trace::export_programs(programs, "cg");
+  EXPECT_EQ(text.substr(0, text.find('\n')), "soctrace v1 ranks=1 workload=cg");
+  std::string tag = "stale";
+  EXPECT_EQ(trace::import_programs(text, &tag).size(), 1u);
+  EXPECT_EQ(tag, "cg");
+  trace::import_programs(trace::export_programs(programs), &tag);
+  EXPECT_EQ(tag, "");
+  EXPECT_THROW(trace::import_programs("soctrace v1 ranks=1 model=cg\n"),
+               Error);
+  EXPECT_THROW(
+      trace::import_programs("soctrace v1 ranks=1 workload=cg extra\n"),
+      Error);
+}
+
+// A malformed rank count is a soc::Error naming the header's line, never
+// an escaping std::invalid_argument or an allocation sized by garbage:
+// the count is digits only, within [1, 65536] (the engine's limit).
+TEST(Export, MalformedRankCountIsAnErrorWithItsLine) {
+  for (const char* header :
+       {"soctrace v1 ranks=x", "soctrace v1 ranks=99999999999999",
+        "soctrace v1 ranks=65537", "soctrace v1 ranks=0",
+        "soctrace v1 ranks=-1", "soctrace v1 ranks=+2",
+        "soctrace v1 ranks=2x", "soctrace v1 ranks="}) {
+    try {
+      trace::import_programs(std::string("# comment\n") + header + "\n");
+      ADD_FAILURE() << header << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("soctrace line 2"),
+                std::string::npos)
+          << header << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(trace::import_programs("soctrace v1 ranks=65536\n").size(),
+            65536u);
+}
+
 }  // namespace
 }  // namespace soc

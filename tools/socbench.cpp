@@ -17,10 +17,9 @@
 //       metrics registry, --chrome-trace writes a Perfetto-loadable
 //       trace, --report-json a canonical machine-readable run report.
 //       Engine self-telemetry on demand: --engine-telemetry writes the
-//       full soccluster-engine-telemetry/v1 artifact (deterministic
-//       counters + queue high-water mark), --engine-counters just its
-//       byte-comparable counter section.  replay takes the same two
-//       flags.
+//       soccluster-engine-telemetry/v1 artifact (deterministic counters
+//       + queue high-water mark, byte-comparable across runs and
+//       builds).  replay takes the same flag.
 //   socbench sweep --workload hpl --nodes 2,4,8,16 --nic both
 //                  [--sweep-threads N] [--progress] [--report-json s.json]
 //       Cluster-size sweep, one row per (size, NIC).  `--workload all`
@@ -31,7 +30,7 @@
 //       a per-run block and the sweep summary; --energy-roofline writes
 //       the soccluster-energy-roofline/v1 artifact (achieved GFLOPS/W vs
 //       the power-derived ceiling at each run's measured OI/NI).
-//   socbench decompose --workload ft --nodes 16
+//   socbench decompose --workload ft --nodes 16 [--ranks N]
 //       The paper's LB/Ser/Trf efficiency decomposition (Eq. 4).
 //   socbench explain --workload hpl --nodes 8 [--profile-json cp.json]
 //                    [--folded cp.folded] [--energy] [--energy-json e.json]
@@ -55,9 +54,11 @@
 //       each workload's Pareto-optimal points in (runtime, energy).
 //       --report-json writes the soccluster-energy-frontier/v1 artifact.
 //   socbench trace --workload tealeaf3d --nodes 8 --out run.soctrace
-//       Record the generated per-rank programs to a trace file.
+//       Record the generated per-rank programs, and the workload they
+//       came from, to a trace file.
 //   socbench replay --trace run.soctrace --nodes 8 [--ideal-network]
-//       Replay a recorded trace (DIMEMAS-style what-if supported).
+//       Replay a recorded trace through the same run path: it reproduces
+//       the run it was recorded from (DIMEMAS-style what-if supported).
 //   socbench run --workload jacobi --nodes 16 --audit-determinism
 //       Determinism audit: replay the workload --repeats times serially
 //       and under parallel_for; all event checksums must be bit-identical.
@@ -72,8 +73,9 @@
 //       committed report.
 //
 // Malformed command lines (unknown flag, missing value, bad number, unknown
-// workload/NIC/memory model, fewer than one node) print the message plus
-// usage and exit 2; simulation failures exit 1.
+// workload/NIC/memory model, fewer than one node, a rank count the cluster
+// cannot place) print the message plus usage and exit 2; simulation
+// failures exit 1.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -81,6 +83,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -95,12 +98,11 @@
 #include "net/network.h"
 #include "obs/chrome_trace.h"
 #include "obs/engine_telemetry.h"
-#include "obs/observers.h"
+#include "obs/metrics.h"
 #include "power/power_model.h"
 #include "prof/critical_path.h"
 #include "prof/energy.h"
 #include "prof/profile.h"
-#include "sim/memo_cost.h"
 #include "sim/telemetry.h"
 #include "sweep/frontier.h"
 #include "sweep/grid.h"
@@ -191,10 +193,6 @@ std::vector<double> caps_from(const ArgParser& args,
   return caps;
 }
 
-std::unique_ptr<workloads::Workload> workload_from(const ArgParser& args) {
-  return workloads::make_workload(checked_workload(args.get("--workload")));
-}
-
 int nodes_from(const ArgParser& args) {
   return checked_nodes(args.get_int("--nodes"));
 }
@@ -205,24 +203,18 @@ std::vector<int> node_list_from(const ArgParser& args) {
   return nodes;
 }
 
-int natural_ranks(const workloads::Workload& w, int nodes) {
-  return sweep::natural_ranks(w, nodes);
-}
-
-/// --ranks, or the workload's natural count when absent.  A count the
-/// cluster cannot place (not a positive multiple of the node count, or
-/// more ranks per node than cores) is a usage error.
-int ranks_from(const ArgParser& args, const workloads::Workload& w, int nodes,
-               const systems::NodeConfig& node) {
-  if (!args.given("--ranks")) return natural_ranks(w, nodes);
-  const int ranks = args.get_int("--ranks");
+/// A rank count the cluster cannot place (not a positive multiple of the
+/// node count, or more ranks per node than cores) is a usage error;
+/// `what` names where the count came from.
+int checked_ranks(int ranks, int nodes, const systems::NodeConfig& node,
+                  const std::string& what) {
   if (ranks < nodes || ranks % nodes != 0) {
-    throw UsageError("--ranks must be a positive multiple of --nodes (" +
+    throw UsageError(what + " must be a positive multiple of --nodes (" +
                      std::to_string(nodes) + "), got " +
                      std::to_string(ranks));
   }
   if (ranks / nodes > node.cpu_cores) {
-    throw UsageError("--ranks " + std::to_string(ranks) + " on " +
+    throw UsageError(what + " " + std::to_string(ranks) + " on " +
                      std::to_string(nodes) + " node(s) needs " +
                      std::to_string(ranks / nodes) +
                      " ranks per node, but a node has " +
@@ -292,27 +284,13 @@ cluster::RunOptions options_from(const ArgParser& args) {
   return options;
 }
 
-/// True when --engine-telemetry or --engine-counters asks for the
-/// engine's self-telemetry (run and replay).
-bool want_engine_telemetry(const ArgParser& args) {
-  return args.given("--engine-telemetry") || args.given("--engine-counters");
-}
-
-/// Writes whichever of the two self-telemetry artifacts the flags name.
+/// Writes the self-telemetry artifact --engine-telemetry names.
 void write_engine_telemetry(const ArgParser& args,
                             const sim::EngineTelemetry& telemetry) {
-  if (args.given("--engine-telemetry")) {
-    prof::write_text(args.get("--engine-telemetry"),
-                     obs::engine_telemetry_json(telemetry));
-    std::printf("wrote engine telemetry to %s\n",
-                args.get("--engine-telemetry").c_str());
-  }
-  if (args.given("--engine-counters")) {
-    prof::write_text(args.get("--engine-counters"),
-                     obs::engine_counters_json(telemetry));
-    std::printf("wrote engine counters to %s\n",
-                args.get("--engine-counters").c_str());
-  }
+  prof::write_text(args.get("--engine-telemetry"),
+                   obs::engine_telemetry_json(telemetry));
+  std::printf("wrote engine telemetry to %s\n",
+              args.get("--engine-telemetry").c_str());
 }
 
 /// Scenario decorators from the --fault / --noise / --checkpoint flags;
@@ -322,24 +300,36 @@ workloads::ScenarioConfig scenario_from(const ArgParser& args) {
                                    args.get("--checkpoint"));
 }
 
+/// The one request run, explain, decompose, trace and the determinism
+/// audit build from the command line: registry workload `tag` on
+/// --nodes TX1 nodes with --nic, --ranks (or the workload's natural
+/// count), the run options and the scenario decorators.
+cluster::RunRequest request_from(const ArgParser& args,
+                                 const std::string& tag) {
+  const int nodes = nodes_from(args);
+  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
+  cluster::RunRequest request;
+  request.workload = tag;
+  request.config = {node, nodes,
+                    args.given("--ranks")
+                        ? checked_ranks(args.get_int("--ranks"), nodes, node,
+                                        "--ranks")
+                        : sweep::natural_ranks(*workloads::make_workload(tag),
+                                               nodes)};
+  request.options = options_from(args);
+  request.scenario = scenario_from(args);
+  return request;
+}
+
 // Audits one workload: the baseline run, --repeats serial replays, and
 // --repeats parallel_for replays must all commit the identical event
 // stream (RunStats::event_checksum).  Returns true when they do.
 bool audit_workload(const std::string& name, const ArgParser& args) {
-  const auto workload = workloads::make_workload(name);
-  const int nodes = nodes_from(args);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  const int ranks = ranks_from(args, *workload, nodes, node);
-  const int repeats = args.get_int("--repeats");
-  SOC_CHECK(repeats >= 2, "--repeats must be at least 2");
-
   // Scenario decorators participate in the audit: fault/noise/checkpoint
   // streams must replay bit-identically like any workload.
-  cluster::RunRequest request;
-  request.workload = name;
-  request.config = cluster::ClusterConfig{node, nodes, ranks};
-  request.options = options_from(args);
-  request.scenario = scenario_from(args);
+  const cluster::RunRequest request = request_from(args, name);
+  const int repeats = args.get_int("--repeats");
+  SOC_CHECK(repeats >= 2, "--repeats must be at least 2");
 
   const auto baseline = cluster::run(request);
   bool serial_ok = true;
@@ -390,57 +380,45 @@ int cmd_audit(const ArgParser& args) {
 
 int cmd_run(const ArgParser& args) {
   if (args.get_bool("--audit-determinism")) return cmd_audit(args);
-  const auto workload = workload_from(args);
-  const int nodes = nodes_from(args);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  const int ranks = ranks_from(args, *workload, nodes, node);
+  cluster::RunRequest request =
+      request_from(args, checked_workload(args.get("--workload")));
 
   // Observability: attach only what the flags ask for, so the default
-  // run keeps the engine's no-observer fast path.
-  const bool want_metrics =
-      args.get_bool("--metrics") || args.given("--report-json");
-  obs::MetricsObserver metrics;
+  // run keeps the engine's no-observer fast path.  The run fills the
+  // metrics registry and writes the report itself.
+  obs::MetricsRegistry metrics;
+  if (args.get_bool("--metrics")) request.metrics = &metrics;
+  if (args.given("--report-json")) {
+    request.report_path = args.get("--report-json");
+  }
   obs::ChromeTraceRecorder chrome;
-  obs::ObserverList observers;
-  if (want_metrics) observers.add(&metrics);
-  if (args.given("--chrome-trace")) observers.add(&chrome);
-  auto options = options_from(args);
-  if (!observers.empty()) options.observer = &observers;
-
-  cluster::RunRequest request;
-  request.workload = workload->name();
-  request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{node, nodes, ranks};
-  request.options = options;
-  request.scenario = scenario_from(args);
+  if (args.given("--chrome-trace")) request.options.observer = &chrome;
   sim::EngineTelemetry telemetry;
-  if (want_engine_telemetry(args)) request.engine_telemetry = &telemetry;
+  if (args.given("--engine-telemetry")) request.engine_telemetry = &telemetry;
   const auto result = cluster::run(request);
-  std::printf("%s on %d x %s (%s, %d ranks)\n\n", workload->name().c_str(),
-              nodes, node.name.c_str(), node.nic.name.c_str(), ranks);
-  const bool dp = workload->name() != "alexnet" &&
-                  workload->name() != "googlenet";
-  print_result(result, node, nodes, dp);
+
+  const cluster::ClusterConfig& config = request.config;
+  std::printf("%s on %d x %s (%s, %d ranks)\n\n", request.workload.c_str(),
+              config.nodes, config.node.name.c_str(),
+              config.node.nic.name.c_str(), config.ranks);
+  const bool dp =
+      request.workload != "alexnet" && request.workload != "googlenet";
+  print_result(result, config.node, config.nodes, dp);
   if (args.get_bool("--timeline")) {
     trace::TimelineOptions t;
-    t.cores_per_node = node.cpu_cores;
+    t.cores_per_node = config.node.cpu_cores;
     std::printf("\n%s", trace::render_timeline(result.stats, t).c_str());
   }
-  if (args.get_bool("--metrics")) {
-    std::printf("\nmetrics\n-------\n%s",
-                metrics.registry().table().c_str());
+  if (request.metrics != nullptr) {
+    std::printf("\nmetrics\n-------\n%s", metrics.table().c_str());
   }
   if (args.given("--chrome-trace")) {
     chrome.write(args.get("--chrome-trace"));
     std::printf("\nwrote %zu spans to %s\n", chrome.span_count(),
                 args.get("--chrome-trace").c_str());
   }
-  if (args.given("--report-json")) {
-    cluster::write_report(args.get("--report-json"), request.config, options,
-                          workload->name(), result, &metrics.registry(),
-                          &request.scenario);
-    std::printf("wrote run report to %s\n",
-                args.get("--report-json").c_str());
+  if (!request.report_path.empty()) {
+    std::printf("wrote run report to %s\n", request.report_path.c_str());
   }
   if (request.engine_telemetry != nullptr) {
     write_engine_telemetry(args, telemetry);
@@ -449,18 +427,15 @@ int cmd_run(const ArgParser& args) {
 }
 
 /// Sweep fan-out: the --sweep-threads flag wins over SOC_SWEEP_THREADS;
-/// 0 (the default) means all host cores.
+/// 0 (the default) means all host cores.  Either one, if malformed, is a
+/// usage error.
 unsigned sweep_threads(const ArgParser& args) {
   if (args.given("--sweep-threads")) {
-    const int v = args.get_int("--sweep-threads");
-    SOC_CHECK(v >= 0, "--sweep-threads must be >= 0");
-    return static_cast<unsigned>(v);
+    return parse_thread_count(args.get("--sweep-threads"), "--sweep-threads");
   }
   if (const char* env = std::getenv("SOC_SWEEP_THREADS");
       env != nullptr && *env != '\0') {
-    const int v = std::atoi(env);
-    SOC_CHECK(v >= 0, "SOC_SWEEP_THREADS must be >= 0");
-    return static_cast<unsigned>(v);
+    return parse_thread_count(env, "SOC_SWEEP_THREADS");
   }
   return 0;
 }
@@ -597,20 +572,13 @@ int cmd_frontier(const ArgParser& args) {
 }
 
 int cmd_decompose(const ArgParser& args) {
-  const auto workload = workload_from(args);
-  const int nodes = nodes_from(args);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  cluster::RunRequest request;
-  request.workload = workload->name();
-  request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{node, nodes,
-                                          natural_ranks(*workload, nodes)};
-  request.options = options_from(args);
-  request.scenario = scenario_from(args);
+  const cluster::RunRequest request =
+      request_from(args, checked_workload(args.get("--workload")));
   const auto runs = cluster::replay_scenarios(request);
   const auto d = core::decompose(runs);
   std::printf("%s on %d nodes (%s): Eq. 4 decomposition\n\n",
-              workload->name().c_str(), nodes, node.nic.name.c_str());
+              request.workload.c_str(), request.config.nodes,
+              request.config.node.nic.name.c_str());
   std::printf("  measured            : %.3f s\n", d.measured_seconds);
   std::printf("  ideal network       : %.3f s (%.2fx)\n",
               d.ideal_network_seconds,
@@ -624,17 +592,10 @@ int cmd_decompose(const ArgParser& args) {
 }
 
 int cmd_explain(const ArgParser& args) {
-  const auto workload = workload_from(args);
-  const int nodes = nodes_from(args);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  const int ranks = ranks_from(args, *workload, nodes, node);
-
-  cluster::RunRequest request;
-  request.workload = workload->name();
-  request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{node, nodes, ranks};
-  request.options = options_from(args);
-  request.scenario = scenario_from(args);
+  cluster::RunRequest request =
+      request_from(args, checked_workload(args.get("--workload")));
+  const systems::NodeConfig& node = request.config.node;
+  const int nodes = request.config.nodes;
   prof::Profile profile;
   request.profile = &profile;
   if (args.given("--profile-json")) {
@@ -653,8 +614,8 @@ int cmd_explain(const ArgParser& args) {
   const auto result = cluster::run(request);
 
   std::printf("%s on %d x %s (%s, %d ranks): critical path\n\n",
-              workload->name().c_str(), nodes, node.name.c_str(),
-              node.nic.name.c_str(), ranks);
+              request.workload.c_str(), nodes, node.name.c_str(),
+              node.nic.name.c_str(), request.config.ranks);
   std::printf("runtime        : %.3f s (%llu events, checksum %s)\n",
               result.seconds,
               static_cast<unsigned long long>(result.stats.events_committed),
@@ -771,18 +732,12 @@ int cmd_explain(const ArgParser& args) {
 }
 
 int cmd_trace(const ArgParser& args) {
-  const auto workload = workload_from(args);
-  const int nodes = nodes_from(args);
-  workloads::BuildContext ctx;
-  ctx.nodes = nodes;
-  ctx.ranks = ranks_from(args, *workload, nodes,
-                         systems::jetson_tx1(parse_nic(args.get("--nic"))));
-  ctx.size_scale = number_from(args, "--scale");
-  ctx.mem_model = parse_mem_model(args.get("--mem-model"));
-  ctx.gpu_work_fraction =
-      number_from(args, "--gpu-fraction", /*fraction=*/true);
-  const auto programs = workload->build(ctx);
-  trace::save_trace(args.get("--out"), programs);
+  const cluster::RunRequest request =
+      request_from(args, checked_workload(args.get("--workload")));
+  const auto programs = workloads::make_workload(request.workload)
+                            ->build(cluster::build_context(request.config,
+                                                           request.options));
+  trace::save_trace(args.get("--out"), programs, request.workload);
   std::size_t ops = 0;
   for (const auto& p : programs) ops += p.size();
   std::printf("wrote %zu ranks / %zu ops to %s\n", programs.size(), ops,
@@ -791,28 +746,43 @@ int cmd_trace(const ArgParser& args) {
 }
 
 int cmd_replay(const ArgParser& args) {
-  const auto programs = trace::load_trace(args.get("--trace"));
+  // The trace is one more workload: its header names the registry
+  // workload it was recorded from, whose CPU profile prices the replay,
+  // and cluster::run validates and meters it like any run.
+  std::string tag;
+  std::vector<sim::Program> programs =
+      trace::load_trace(args.get("--trace"), &tag);
+  if (tag.empty()) {
+    throw Error("trace " + args.get("--trace") +
+                " names no workload in its header; record it with "
+                "'socbench trace'");
+  }
+  const workloads::TraceWorkload workload(tag, std::move(programs));
   const int nodes = nodes_from(args);
-  const int ranks = static_cast<int>(programs.size());
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  cluster::ClusterCostModel cost(node, nodes, ranks,
-                                 workloads::make_workload("jacobi")
-                                     ->cpu_profile());
-  sim::Scenario scenario;
-  scenario.ideal_network = args.get_bool("--ideal-network");
-  sim::EngineConfig engine_config;
+  cluster::RunRequest request;
+  request.workload_ref = &workload;
+  request.config = {node, nodes,
+                    checked_ranks(workload.ranks(), nodes, node,
+                                  "the trace's rank count")};
+  const bool ideal_network = args.get_bool("--ideal-network");
   sim::EngineTelemetry telemetry;
-  if (want_engine_telemetry(args)) engine_config.telemetry = &telemetry;
-  const sim::MemoCostModel memo(cost);
-  sim::Engine engine(sim::Placement::block(ranks, nodes), memo,
-                     engine_config, scenario);
-  const sim::RunStats stats = engine.run(programs);
+  if (args.given("--engine-telemetry")) {
+    if (ideal_network) {
+      throw UsageError("--engine-telemetry records the measured replay; it "
+                       "cannot be combined with --ideal-network");
+    }
+    request.engine_telemetry = &telemetry;
+  }
+  const sim::RunStats stats =
+      ideal_network ? cluster::replay_scenarios(request).ideal_network
+                    : cluster::run(request).stats;
   std::printf("replayed %d ranks on %d nodes%s: %.3f s, %.2f GFLOP/s, "
               "%.3f GB over the network\n",
-              ranks, nodes, scenario.ideal_network ? " (ideal network)" : "",
+              workload.ranks(), nodes, ideal_network ? " (ideal network)" : "",
               stats.seconds(), stats.flops_per_second() / 1e9,
               static_cast<double>(stats.total_net_bytes) / 1e9);
-  if (engine_config.telemetry != nullptr) {
+  if (request.engine_telemetry != nullptr) {
     write_engine_telemetry(args, telemetry);
   }
   return 0;
@@ -901,8 +871,8 @@ int usage(const ArgParser& args) {
       "  run        one metered run (add --metrics, --chrome-trace,\n"
       "             --report-json for observability artifacts;\n"
       "             --audit-determinism for a replay audit;\n"
-      "             --engine-telemetry/--engine-counters for the engine's\n"
-      "             self-telemetry artifacts)\n"
+      "             --engine-telemetry for the engine's self-telemetry\n"
+      "             artifact)\n"
       "  sweep      cluster-size sweep, one row per (size, NIC); shards\n"
       "             across host threads (--sweep-threads);\n"
       "             --energy-roofline writes the GFLOPS/W artifact\n"
@@ -914,7 +884,8 @@ int usage(const ArgParser& args) {
       "             --energy for the joule attribution, --dvfs/--cap-watts\n"
       "             for energy what-ifs re-timed from the trace\n"
       "  trace      record generated per-rank programs to a .soctrace file\n"
-      "  replay     replay a recorded trace (what-if scenarios supported)\n"
+      "  replay     replay a recorded trace as the run it was recorded\n"
+      "             from (--ideal-network for the what-if)\n"
       "  perf       engine-only replay throughput + BENCH_engine.json\n"
       "             (--quick for the CI smoke subset)\n"
       "\nscenarios (run/sweep/explain/decompose): --fault injects\n"
@@ -956,10 +927,8 @@ int main(int argc, char** argv) {
                 "4");
   args.add_flag("--engine-telemetry",
                 "run/replay: write the soccluster-engine-telemetry/v1 "
-                "self-telemetry artifact here");
-  args.add_flag("--engine-counters",
-                "run/replay: write just the deterministic counter section "
-                "(byte-identical across runs and builds) here");
+                "self-telemetry artifact (byte-identical across runs and "
+                "builds) here");
   args.add_flag("--sweep-threads",
                 "sweep: host threads to shard runs across (0 = all cores; "
                 "overrides SOC_SWEEP_THREADS)");
