@@ -1,10 +1,10 @@
 // Counting operator new/delete replacements (soc_alloc_hooks library).
 //
-// Linked only into binaries that report allocation counts (socbench,
-// bench/perf_engine).  Under AddressSanitizer & friends the sanitizer
-// runtime must own the allocator, so the hooks compile away and
-// allocation_count() reads 0 — the perf harness prints counts only when
-// they are live.
+// Linked only into binaries that count allocations (perfbench,
+// telemetry_test) or run on the same allocator as those (socbench).  Under
+// AddressSanitizer & friends the sanitizer runtime must own the
+// allocator, so the hooks compile away and allocation_count() reads 0 —
+// callers compare counts only when they are live.
 #include <cstdlib>
 #include <new>
 

@@ -63,8 +63,8 @@ class Workload {
   virtual std::unique_ptr<OpStream> stream(const BuildContext& ctx) const = 0;
 
   /// Whole programs, one per rank: drains stream(ctx) rank by rank (trace
-  /// export, the perf harness, tests).  Replaying them commits the same
-  /// events as running the stream.
+  /// export, tests).  Replaying them commits the same events as running
+  /// the stream.
   virtual std::vector<sim::Program> build(const BuildContext& ctx) const;
 };
 

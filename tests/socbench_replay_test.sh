@@ -2,8 +2,9 @@
 # A recorded trace replays as the run it was recorded from: for cg and
 # jacobi on 4 nodes (scale 0.05), `socbench replay` must print the same
 # runtime, GFLOP/s and network GB as `socbench run`, and cg's runtime is
-# pinned.  A node count the trace's ranks cannot be placed on, and a
-# --ranks the cluster cannot place, are usage errors (exit 2).
+# pinned.  A node count the trace's ranks cannot be placed on, a --ranks
+# the cluster cannot place, and a flag that would change what the trace
+# already fixes (problem size, scenario) are usage errors (exit 2).
 #
 # Usage: socbench_replay_test.sh <socbench binary> <scratch directory>
 set -u
@@ -45,5 +46,9 @@ expect_usage_error() {
 }
 expect_usage_error "$socbench" replay --trace "$dir/cg.soctrace" --nodes 3
 expect_usage_error "$socbench" replay --trace "$dir/cg.soctrace" --nodes 1
+expect_usage_error "$socbench" replay --trace "$dir/cg.soctrace" --nodes 4 \
+  --scale 3
+expect_usage_error "$socbench" replay --trace "$dir/cg.soctrace" --nodes 4 \
+  --fault straggler:rank=1,slowdown=4
 expect_usage_error "$socbench" decompose --workload cg --nodes 4 --ranks 6
 exit $status

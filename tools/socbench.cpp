@@ -55,27 +55,22 @@
 //       --report-json writes the soccluster-energy-frontier/v1 artifact.
 //   socbench trace --workload tealeaf3d --nodes 8 --out run.soctrace
 //       Record the generated per-rank programs, and the workload they
-//       came from, to a trace file.
+//       came from, to a trace file.  The programs are undecorated, so
+//       --fault / --noise / --checkpoint are usage errors here.
 //   socbench replay --trace run.soctrace --nodes 8 [--ideal-network]
 //       Replay a recorded trace through the same run path: it reproduces
 //       the run it was recorded from (DIMEMAS-style what-if supported).
+//       The trace fixes the problem size, memory model, GPU share, rank
+//       count and scenario, so the flags that set them are usage errors.
 //   socbench run --workload jacobi --nodes 16 --audit-determinism
 //       Determinism audit: replay the workload --repeats times serially
 //       and under parallel_for; all event checksums must be bit-identical.
 //       `--workload all` audits every registered workload.
-//   socbench perf [--quick] [--reps 5] [--report-json BENCH_engine.json]
-//                 [--baseline BENCH_engine.json]
-//       Engine-only replay throughput over the fig5/fig6 shapes:
-//       events/sec, allocations per event, cost-model cache hit rate, and
-//       one stable `checksum config=... events=... value=...` line per
-//       case (CI diffs these between -O2 and sanitizer builds).
-//       --baseline gates exact checksums and tolerant events/s against a
-//       committed report.
 //
 // Malformed command lines (unknown flag, missing value, bad number, unknown
 // workload/NIC/memory model, fewer than one node, a rank count the cluster
-// cannot place) print the message plus usage and exit 2; simulation
-// failures exit 1.
+// cannot place, a flag the command cannot honour) print the message plus
+// usage and exit 2; simulation failures exit 1.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -87,7 +82,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/perf.h"
 #include "cluster/report.h"
 #include "common/args.h"
 #include "common/error.h"
@@ -731,7 +725,22 @@ int cmd_explain(const ArgParser& args) {
   return 0;
 }
 
+/// A flag `command` cannot honour is a usage error, not silently dropped:
+/// each of `flags` the command line gives is refused, saying `why`.
+void refuse_flags(const ArgParser& args, const std::string& command,
+                  const std::vector<std::string>& flags,
+                  const std::string& why) {
+  for (const std::string& flag : flags) {
+    if (args.given(flag)) {
+      throw UsageError("'socbench " + command + "' does not take " + flag +
+                       ": " + why);
+    }
+  }
+}
+
 int cmd_trace(const ArgParser& args) {
+  refuse_flags(args, "trace", {"--fault", "--noise", "--checkpoint"},
+               "the trace records the workload's undecorated programs");
   const cluster::RunRequest request =
       request_from(args, checked_workload(args.get("--workload")));
   const auto programs = workloads::make_workload(request.workload)
@@ -746,6 +755,10 @@ int cmd_trace(const ArgParser& args) {
 }
 
 int cmd_replay(const ArgParser& args) {
+  refuse_flags(args, "replay",
+               {"--scale", "--mem-model", "--gpu-fraction", "--ranks",
+                "--fault", "--noise", "--checkpoint"},
+               "the recorded trace fixes it");
   // The trace is one more workload: its header names the registry
   // workload it was recorded from, whose CPU profile prices the replay,
   // and cluster::run validates and meters it like any run.
@@ -788,74 +801,6 @@ int cmd_replay(const ArgParser& args) {
   return 0;
 }
 
-int cmd_perf(const ArgParser& args) {
-  const bool quick = args.get_bool("--quick");
-  cluster::PerfConfig config;
-  config.reps = args.given("--reps") ? args.get_int("--reps")
-                                     : (quick ? 2 : 5);
-  checked(args, "--reps", config.reps);
-  // Within [0, 1] and positive: (0, 1].
-  const double tolerance = checked(
-      args, "--baseline-tolerance",
-      number_from(args, "--baseline-tolerance", /*fraction=*/true));
-  const auto cases = cluster::default_perf_cases(quick);
-  const auto report = cluster::measure_engine(cases, config);
-
-  TextTable table({"config", "events", "events/sec", "allocs/event",
-                   "memo hit%", "wall s"});
-  for (const auto& s : report.samples) {
-    const double evals = static_cast<double>(s.memo_hits + s.memo_misses);
-    table.add_row(
-        {s.name, TextTable::num(static_cast<double>(s.events), 0),
-         TextTable::eng(s.events_per_second),
-         TextTable::num(s.allocs_per_event, 4),
-         TextTable::num(
-             evals > 0.0 ? 100.0 * static_cast<double>(s.memo_hits) / evals
-                         : 0.0,
-             1),
-         TextTable::num(s.wall_seconds, 3)});
-  }
-  std::printf("%s\n", table.str().c_str());
-  // Build-invariant lines (no timing): CI asserts these are identical
-  // between an -O2 build and a sanitizer build.
-  for (const auto& s : report.samples) {
-    std::printf("checksum config=%s events=%llu value=%s\n", s.name.c_str(),
-                static_cast<unsigned long long>(s.events),
-                cluster::checksum_hex(s.checksum).c_str());
-  }
-  std::printf("\nTOTAL events/sec = %.4e (events=%.0f wall=%.3fs, %u host "
-              "cores)%s\n",
-              report.events_per_second, report.total_events,
-              report.total_wall_seconds, report.host_cores,
-              report.alloc_counter_live ? "" : " [alloc counter not linked]");
-  if (args.given("--report-json")) {
-    cluster::write_perf_report(args.get("--report-json"), report);
-    std::printf("wrote %s\n", args.get("--report-json").c_str());
-  }
-  // The bench harness convention (bench_common.h): when
-  // SOC_BENCH_JSON_DIR names a directory, drop the canonical artifact
-  // there too, so CI uploads it without a flag.
-  if (const char* dir = std::getenv("SOC_BENCH_JSON_DIR");
-      dir != nullptr && *dir != '\0') {
-    const std::string path = std::string(dir) + "/BENCH_engine.json";
-    cluster::write_perf_report(path, report);
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (args.given("--baseline")) {
-    const cluster::PerfReport baseline =
-        cluster::load_perf_baseline(args.get("--baseline"));
-    const std::string failures =
-        cluster::diff_perf_baseline(report, baseline, tolerance);
-    if (!failures.empty()) {
-      std::fprintf(stderr, "%s", failures.c_str());
-      return 1;
-    }
-    std::printf("baseline check passed vs %s (tolerance %.2f)\n",
-                args.get("--baseline").c_str(), tolerance);
-  }
-  return 0;
-}
-
 int usage(const ArgParser& args) {
   // The workload line derives from the registry, so usage can never
   // drift from what make_workload accepts.
@@ -886,8 +831,6 @@ int usage(const ArgParser& args) {
       "  trace      record generated per-rank programs to a .soctrace file\n"
       "  replay     replay a recorded trace as the run it was recorded\n"
       "             from (--ideal-network for the what-if)\n"
-      "  perf       engine-only replay throughput + BENCH_engine.json\n"
-      "             (--quick for the CI smoke subset)\n"
       "\nscenarios (run/sweep/explain/decompose): --fault injects\n"
       "deterministic node crashes, link flaps, and stragglers; --noise adds\n"
       "seeded per-rank OS jitter; --checkpoint daly:... inserts\n"
@@ -957,15 +900,6 @@ int main(int argc, char** argv) {
   args.add_flag("--energy-roofline",
                 "sweep: write the soccluster-energy-roofline/v1 artifact "
                 "here");
-  args.add_bool("--quick", "perf: smoke subset (one small case per figure "
-                           "family)");
-  args.add_flag("--reps", "perf: timed repetitions per case");
-  args.add_flag("--baseline",
-                "perf: committed BENCH_engine.json to diff against (exact "
-                "events/checksum, tolerant events/s)");
-  args.add_flag("--baseline-tolerance",
-                "perf: fail if events/s drops below this fraction of the "
-                "baseline's", "0.25");
 
   try {
     args.parse(argc, argv);
@@ -979,7 +913,6 @@ int main(int argc, char** argv) {
     if (command == "explain") return cmd_explain(args);
     if (command == "trace") return cmd_trace(args);
     if (command == "replay") return cmd_replay(args);
-    if (command == "perf") return cmd_perf(args);
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return usage(args);
   } catch (const soc::UsageError& e) {
